@@ -8,6 +8,7 @@
 #include "net/event_bus_server.h"
 #include "net/remote_client.h"
 #include "obs/json.h"
+#include "obs/metric_sink.h"
 #include "obs/prometheus.h"
 
 namespace sentinel::core {
@@ -319,114 +320,92 @@ void ActiveDatabase::AdvanceTime(std::uint64_t now_ms) {
   scheduler_->Drain();
 }
 
-std::string ActiveDatabase::StatsJson() const {
-  obs::JsonWriter w;
-  w.BeginObject();
-  if (detector_ != nullptr) {
-    w.Key("detector").Raw(detector_->StatsJson());
-  }
-  if (scheduler_ != nullptr) {
-    w.Key("scheduler").BeginObject();
-    w.Field("policy", static_cast<int>(scheduler_->policy()));
-    w.Field("contingency",
-            rules::ContingencyPolicyToString(scheduler_->contingency()));
-    w.Field("executed", scheduler_->executed_count());
-    w.Field("condition_rejections", scheduler_->condition_rejections());
-    w.Field("failed", scheduler_->failed_count());
-    w.Field("abort_top", scheduler_->abort_top_count());
-    w.Field("max_depth", scheduler_->max_depth_seen());
-    w.EndObject();
-  }
+namespace {
+
+/// One `key: {...}` group of `owner`'s rows; skipped while it is absent.
+template <typename Owner>
+void WriteGroup(obs::MetricSink& s, std::string_view key, const Owner* owner) {
+  if (owner == nullptr) return;
+  s.Open(key);
+  owner->WriteMetrics(s);
+  s.Close();
+}
+
+}  // namespace
+
+void ActiveDatabase::WriteMetrics(obs::MetricSink& s) const {
+  WriteGroup(s, "detector", detector_.get());
+  WriteGroup(s, "scheduler", scheduler_.get());
   if (rule_manager_ != nullptr) {
-    w.Key("rules").BeginArray();
-    for (const std::string& name : rule_manager_->RuleNames()) {
-      auto rule = rule_manager_->Find(name);
-      if (!rule.ok()) continue;
-      const obs::RuleMetrics& m = (*rule)->metrics();
-      w.BeginObject();
-      w.Field("name", name);
-      w.Field("event", (*rule)->declared_event());
-      w.Field("coupling", rules::CouplingModeToString((*rule)->coupling()));
-      w.Field("fired", (*rule)->fired_count());
-      w.Key("condition_ns").Raw(obs::HistogramJson(m.condition_ns.TakeSnapshot()));
-      w.Key("action_ns").Raw(obs::HistogramJson(m.action_ns.TakeSnapshot()));
-      w.Key("commit_ns").Raw(obs::HistogramJson(m.commit_ns.TakeSnapshot()));
-      w.Key("abort_ns").Raw(obs::HistogramJson(m.abort_ns.TakeSnapshot()));
-      w.Key("lock_wait_ns")
-          .Raw(obs::HistogramJson(m.lock_wait_ns.TakeSnapshot()));
-      w.EndObject();
-    }
-    w.EndArray();
+    s.OpenList("rules");
+    rule_manager_->WriteMetrics(s);
+    s.Close();
   }
-  if (nested_ != nullptr) {
-    w.Key("nested_txn").BeginObject();
-    w.Field("active_subtxns", nested_->active_count());
-    w.Field("locked_keys", nested_->locked_key_count());
-    w.EndObject();
-  }
+  WriteGroup(s, "nested_txn", nested_.get());
+  const std::int64_t open = open_txn_gauge_.load(std::memory_order_relaxed);
+  s.Gauge({"sentinel_open_txns", "Open top-level transactions.", "open_txns"},
+          db_ != nullptr ? db_->engine()->active_txn_count()
+                         : static_cast<std::uint64_t>(open > 0 ? open : 0));
   if (db_ != nullptr) {
-    // Unified storage-layer telemetry: every cache/WAL/lock counter in one
-    // place instead of scattered over component accessors.
-    storage::StorageEngine* engine = db_->engine();
-    w.Key("storage").BeginObject();
-    storage::BufferPool* pool = engine->buffer_pool();
-    w.Key("buffer_pool").BeginObject();
-    w.Field("hits", pool->hit_count());
-    w.Field("misses", pool->miss_count());
-    w.Field("evictions", pool->eviction_count());
-    w.Field("resident", pool->resident_count());
-    w.Field("capacity", pool->capacity());
-    w.EndObject();
+    s.Open("storage");
+    db_->engine()->WriteMetrics(s);
     if (cache_ != nullptr) {
-      w.Key("object_cache").BeginObject();
-      w.Field("hits", cache_->hit_count());
-      w.Field("misses", cache_->miss_count());
-      w.Field("resident", cache_->size());
-      w.EndObject();
+      s.Open("object_cache");
+      s.Counter({"sentinel_object_cache_hits_total", "Object-cache hits.",
+                 "hits"},
+                cache_->hit_count());
+      s.Counter({"sentinel_object_cache_misses_total", "Object-cache misses.",
+                 "misses"},
+                cache_->miss_count());
+      s.Gauge({"sentinel_object_cache_resident", "Cached objects.",
+               "resident"},
+              cache_->size());
+      s.Close();
     }
-    storage::LogManager* wal = engine->log_manager();
-    w.Key("wal").BeginObject();
-    w.Field("sync_count", wal->sync_count());
-    w.Field("truncated_bytes", wal->truncated_bytes());
-    w.Field("wedged", wal->wedged());
-    w.Field("appended_lsn", wal->appended_lsn());
-    w.Field("durable_lsn", wal->durable_lsn());
-    w.Field("group_commit_waits", wal->group_commit_waits());
-    w.Field("async_commits", wal->async_commits());
-    w.Key("fsync_ns").Raw(obs::HistogramJson(wal->fsync_histogram().TakeSnapshot()));
-    w.EndObject();
-    storage::DiskManager* disk = engine->disk_manager();
-    w.Key("disk").BeginObject();
-    w.Field("sync_count", disk->sync_count());
-    w.Field("io_retries", disk->io_retries());
-    w.Field("pages", disk->page_count());
-    w.Key("fsync_ns").Raw(obs::HistogramJson(disk->fsync_histogram().TakeSnapshot()));
-    w.EndObject();
-    storage::LockManager* locks = engine->lock_manager();
-    w.Key("lock_manager").BeginObject();
-    w.Field("waits", locks->wait_count());
-    w.Field("deadlocks", locks->deadlock_count());
-    w.Field("timeouts", locks->timeout_count());
-    w.Key("wait_ns").Raw(obs::HistogramJson(locks->wait_histogram().TakeSnapshot()));
-    w.EndObject();
-    w.EndObject();
+    s.Close();
   }
-  w.Key("trace").BeginObject();
-  w.Field("enabled", tracer_.enabled());
-  w.Field("capacity", tracer_.capacity());
-  w.Field("size", tracer_.size());
-  w.Field("recorded", tracer_.recorded());
-  w.Field("dropped", tracer_.dropped());
-  w.EndObject();
-  w.Key("span_trace").BeginObject();
-  w.Field("mode", obs::TraceModeToString(span_tracer_.mode()));
-  w.Field("recorded", span_tracer_.recorded());
-  w.Field("dropped", span_tracer_.dropped());
-  w.Field("flight_recorded", flight_recorder_.recorded());
-  w.Field("postmortems", flight_recorder_.dumps());
-  w.EndObject();
-  w.EndObject();
-  return w.Take();
+  s.Open("trace");
+  s.Flag({{}, {}, "enabled"}, tracer_.enabled());
+  s.Gauge({{}, {}, "capacity"}, tracer_.capacity());
+  s.Gauge({{}, {}, "size"}, tracer_.size());
+  s.Counter({"sentinel_provenance_recorded_total",
+             "Provenance records captured.", "recorded"},
+            tracer_.recorded());
+  s.Counter({{}, {}, "dropped"}, tracer_.dropped());
+  s.Close();
+  s.Open("span_trace");
+  s.Info("mode", obs::TraceModeToString(span_tracer_.mode()));
+  s.Counter({"sentinel_spans_recorded_total", "Spans recorded.", "recorded"},
+            span_tracer_.recorded());
+  s.Counter({"sentinel_spans_dropped_total",
+             "Spans dropped by full trace rings.", "dropped"},
+            span_tracer_.dropped());
+  s.Counter({{}, {}, "flight_recorded"}, flight_recorder_.recorded());
+  s.Counter({"sentinel_postmortems_total", "Postmortem dumps written.",
+             "postmortems"},
+            flight_recorder_.dumps());
+  s.Close();
+  WriteGroup(s, "watchdog", watchdog_.get());
+  if (monitor_ != nullptr) {
+    s.Open("monitor");
+    s.Counter({"sentinel_monitor_requests_total",
+               "HTTP requests served by the monitor endpoint.", "requests"},
+              monitor_->requests());
+    s.Close();
+  }
+  WriteGroup(s, "event_bus", event_bus_);
+  WriteGroup(s, "remote_client", remote_client_);
+  WriteGroup(s, "profile", &profiler_);
+}
+
+std::string ActiveDatabase::StatsJson() const {
+  return obs::MetricsJson(*this);
+}
+
+std::string ActiveDatabase::PrometheusText() {
+  obs::PromWriter p;
+  WriteMetrics(p);
+  return p.Take();
 }
 
 Status ActiveDatabase::ExportTrace(const std::string& path) {
@@ -545,11 +524,7 @@ std::string ActiveDatabase::PostmortemJson(const std::string& reason,
   w.EndArray();
 
   if (scheduler_ != nullptr) {
-    w.Key("scheduler").BeginObject();
-    w.Field("executed", scheduler_->executed_count());
-    w.Field("failed", scheduler_->failed_count());
-    w.Field("abort_top", scheduler_->abort_top_count());
-    w.EndObject();
+    w.Key("scheduler").Raw(obs::MetricsJson(*scheduler_));
   }
   w.EndObject();
   return w.Take();
@@ -732,364 +707,6 @@ std::string ActiveDatabase::HealthJson(int* http_status) {
   }
   w.EndObject();
   return w.Take();
-}
-
-std::string ActiveDatabase::PrometheusText() {
-  obs::PromWriter p;
-  using Labels = obs::PromWriter::Labels;
-
-  // Pipeline totals + per-node event-graph series.
-  if (detector_ != nullptr) {
-    const auto totals = detector_->TotalsSnapshot();
-    p.Counter("sentinel_detector_notifications_total",
-              "Raw event notifications accepted by the detector.", {},
-              totals.notifications);
-    p.Counter("sentinel_detector_detections_total",
-              "Occurrences emitted by event-graph nodes.", {},
-              totals.detections);
-    p.Counter("sentinel_detector_flushed_total",
-              "Buffered occurrences dropped by transaction flushes.", {},
-              totals.flushed);
-    p.Gauge("sentinel_detector_buffered",
-            "Occurrences currently buffered in the event graph.", {},
-            totals.buffered);
-
-    p.Family("sentinel_event_received_total",
-             "Occurrences delivered into an event node, by context.",
-             "counter");
-    p.Family("sentinel_event_detected_total",
-             "Occurrences emitted by an event node, by context.", "counter");
-    p.Family("sentinel_event_buffered",
-             "Occurrences buffered at an event node.", "gauge");
-    p.Family("sentinel_event_context_refs",
-             "Subscriber reference count per parameter context.", "gauge");
-    for (const auto& node : detector_->SnapshotNodes()) {
-      const Labels node_labels = {{"event", node.name}, {"kind", node.kind}};
-      p.Sample("sentinel_event_buffered", node_labels, node.buffered);
-      for (int c = 0; c < detector::kNumContexts; ++c) {
-        const auto& ctx = node.contexts[c];
-        if (ctx.refs == 0 && ctx.received == 0 && ctx.detected == 0) continue;
-        Labels ctx_labels = node_labels;
-        ctx_labels.emplace_back(
-            "context",
-            detector::ParamContextToString(
-                static_cast<detector::ParamContext>(c)));
-        p.Sample("sentinel_event_received_total", ctx_labels, ctx.received);
-        p.Sample("sentinel_event_detected_total", ctx_labels, ctx.detected);
-        p.Sample("sentinel_event_context_refs", ctx_labels,
-                 static_cast<std::uint64_t>(ctx.refs > 0 ? ctx.refs : 0));
-      }
-    }
-  }
-
-  // Scheduler counters + queue-depth gauges.
-  if (scheduler_ != nullptr) {
-    p.Counter("sentinel_rules_executed_total",
-              "Rule firings that ran to completion.", {},
-              scheduler_->executed_count());
-    p.Counter("sentinel_rules_condition_rejections_total",
-              "Firings whose condition did not hold.", {},
-              scheduler_->condition_rejections());
-    p.Counter("sentinel_rules_failed_total",
-              "Contained rule failures (subtransaction rolled back).", {},
-              scheduler_->failed_count());
-    p.Counter("sentinel_rules_abort_top_total",
-              "ABORT_TOP contingencies: rule failures that doomed the "
-              "top-level transaction.",
-              {}, scheduler_->abort_top_count());
-    p.Gauge("sentinel_scheduler_pending",
-            "Prioritized firings awaiting execution.", {},
-            scheduler_->pending_count());
-    p.Gauge("sentinel_scheduler_detached_pending",
-            "Detached firings queued or executing.", {},
-            scheduler_->detached_pending_count());
-    p.Gauge("sentinel_scheduler_max_depth",
-            "Deepest cascaded-rule nesting observed.", {},
-            scheduler_->max_depth_seen());
-  }
-
-  // Per-rule firing counters and latency histograms.
-  if (rule_manager_ != nullptr) {
-    p.Family("sentinel_rule_fired_total", "Firings per rule.", "counter");
-    for (const std::string& name : rule_manager_->RuleNames()) {
-      auto rule = rule_manager_->Find(name);
-      if (!rule.ok()) continue;
-      const Labels labels = {{"rule", name},
-                             {"event", (*rule)->declared_event()}};
-      p.Sample("sentinel_rule_fired_total", labels, (*rule)->fired_count());
-      const obs::RuleMetrics& m = (*rule)->metrics();
-      const Labels rl = {{"rule", name}};
-      p.Histogram("sentinel_rule_condition_ns",
-                  "Condition evaluation latency (ns).", rl,
-                  m.condition_ns.TakeSnapshot());
-      p.Histogram("sentinel_rule_action_ns", "Action execution latency (ns).",
-                  rl, m.action_ns.TakeSnapshot());
-      p.Histogram("sentinel_rule_commit_ns",
-                  "Rule subtransaction commit latency (ns).", rl,
-                  m.commit_ns.TakeSnapshot());
-      p.Histogram("sentinel_rule_abort_ns",
-                  "Rule subtransaction abort latency (ns).", rl,
-                  m.abort_ns.TakeSnapshot());
-      p.Histogram("sentinel_rule_lock_wait_ns",
-                  "Time the rule's subtransaction blocked on nested locks "
-                  "(ns).",
-                  rl, m.lock_wait_ns.TakeSnapshot());
-    }
-  }
-
-  // Transactions + nested-transaction gauges.
-  if (db_ != nullptr) {
-    p.Gauge("sentinel_open_txns", "Open top-level transactions.", {},
-            db_->engine()->active_txn_count());
-  } else {
-    const std::int64_t open = open_txn_gauge_.load(std::memory_order_relaxed);
-    p.Gauge("sentinel_open_txns", "Open top-level transactions.", {},
-            open > 0 ? static_cast<std::uint64_t>(open) : 0);
-  }
-  if (nested_ != nullptr) {
-    p.Gauge("sentinel_subtxns_active", "Rule subtransactions in flight.", {},
-            nested_->active_count());
-    p.Gauge("sentinel_nested_locked_keys",
-            "Keys held in the nested lock table.", {},
-            nested_->locked_key_count());
-    p.Gauge("sentinel_nested_waiters",
-            "Threads blocked acquiring nested locks.", {},
-            nested_->waiting_count());
-  }
-
-  // Storage layer (persistent mode only).
-  if (db_ != nullptr) {
-    storage::StorageEngine* engine = db_->engine();
-    storage::BufferPool* pool = engine->buffer_pool();
-    p.Counter("sentinel_buffer_pool_hits_total", "Buffer-pool page hits.", {},
-              pool->hit_count());
-    p.Counter("sentinel_buffer_pool_misses_total", "Buffer-pool page misses.",
-              {}, pool->miss_count());
-    p.Counter("sentinel_buffer_pool_evictions_total",
-              "Pages evicted from the buffer pool.", {},
-              pool->eviction_count());
-    p.Gauge("sentinel_buffer_pool_resident", "Resident buffer-pool pages.",
-            {}, pool->resident_count());
-    p.Gauge("sentinel_buffer_pool_dirty", "Dirty buffer-pool pages.", {},
-            pool->dirty_count());
-    p.Gauge("sentinel_buffer_pool_capacity", "Buffer-pool frame capacity.",
-            {}, pool->capacity());
-    if (cache_ != nullptr) {
-      p.Counter("sentinel_object_cache_hits_total", "Object-cache hits.", {},
-                cache_->hit_count());
-      p.Counter("sentinel_object_cache_misses_total", "Object-cache misses.",
-                {}, cache_->miss_count());
-      p.Gauge("sentinel_object_cache_resident", "Cached objects.", {},
-              cache_->size());
-    }
-    storage::LogManager* wal = engine->log_manager();
-    p.Counter("sentinel_wal_syncs_total", "WAL fsync batches.", {},
-              wal->sync_count());
-    p.Counter("sentinel_wal_truncated_bytes_total",
-              "Bytes of torn tail discarded during WAL recovery.", {},
-              wal->truncated_bytes());
-    p.Gauge("sentinel_wal_wedged",
-            "1 when the WAL refused further appends after a torn write or "
-            "failed fsync barrier.",
-            {}, wal->wedged() ? 1 : 0);
-    p.Gauge("sentinel_wal_durable_lsn",
-            "Highest LSN covered by a completed fsync barrier.", {},
-            wal->durable_lsn());
-    p.Gauge("sentinel_wal_appended_lsn",
-            "Highest LSN fully written to the WAL buffer.", {},
-            wal->appended_lsn());
-    p.Counter("sentinel_wal_group_commit_waits_total",
-              "Commits that waited on (or piggybacked on) a group-commit "
-              "barrier.",
-              {}, wal->group_commit_waits());
-    p.Counter("sentinel_wal_async_commits_total",
-              "Commits acknowledged on WAL-buffer write (async durability).",
-              {}, wal->async_commits());
-    p.Histogram("sentinel_wal_fsync_ns", "WAL fsync latency (ns).", {},
-                wal->fsync_histogram().TakeSnapshot());
-    storage::DiskManager* disk = engine->disk_manager();
-    p.Counter("sentinel_disk_syncs_total", "Data-file fsyncs.", {},
-              disk->sync_count());
-    p.Counter("sentinel_disk_io_retries_total",
-              "Short read/write retries against the data file.", {},
-              disk->io_retries());
-    p.Gauge("sentinel_disk_pages", "Pages in the data file.", {},
-            disk->page_count());
-    p.Histogram("sentinel_disk_fsync_ns", "Data-file fsync latency (ns).", {},
-                disk->fsync_histogram().TakeSnapshot());
-    storage::LockManager* locks = engine->lock_manager();
-    p.Counter("sentinel_lock_waits_total",
-              "Lock requests that had to block.", {}, locks->wait_count());
-    p.Counter("sentinel_lock_deadlocks_total",
-              "Deadlocks broken by victim selection.", {},
-              locks->deadlock_count());
-    p.Counter("sentinel_lock_timeouts_total", "Lock waits that timed out.",
-              {}, locks->timeout_count());
-    p.Gauge("sentinel_lock_waiters",
-            "Transactions currently blocked in the lock table.", {},
-            locks->waiting_count());
-    p.Histogram("sentinel_lock_wait_ns", "Storage lock wait latency (ns).",
-                {}, locks->wait_histogram().TakeSnapshot());
-  }
-
-  // Tracing plane.
-  p.Counter("sentinel_spans_recorded_total", "Spans recorded.", {},
-            span_tracer_.recorded());
-  p.Counter("sentinel_spans_dropped_total",
-            "Spans dropped by full trace rings.", {}, span_tracer_.dropped());
-  p.Counter("sentinel_provenance_recorded_total",
-            "Provenance records captured.", {}, tracer_.recorded());
-  p.Counter("sentinel_postmortems_total", "Postmortem dumps written.", {},
-            flight_recorder_.dumps());
-
-  // Watchdog verdict + rates.
-  if (watchdog_ != nullptr) {
-    p.Gauge("sentinel_health_state",
-            "0 = healthy, 1 = degraded, 2 = unhealthy.", {},
-            static_cast<std::uint64_t>(watchdog_->health()));
-    p.Counter("sentinel_watchdog_ticks_total", "Watchdog sampler ticks.", {},
-              watchdog_->ticks());
-    p.Counter("sentinel_watchdog_transitions_total",
-              "Upward health transitions.", {}, watchdog_->transitions());
-    p.Counter("sentinel_watchdog_postmortems_total",
-              "Automatic postmortems the watchdog triggered.", {},
-              watchdog_->postmortems_triggered());
-    const obs::Watchdog::Rates rates = watchdog_->rates();
-    p.GaugeF("sentinel_rate_events_per_sec",
-             "Notification rate over the watchdog window.", {},
-             rates.events_per_sec);
-    p.GaugeF("sentinel_rate_firings_per_sec",
-             "Rule firing rate over the watchdog window.", {},
-             rates.firings_per_sec);
-    p.GaugeF("sentinel_rate_aborts_per_sec",
-             "ABORT_TOP rate over the watchdog window.", {},
-             rates.aborts_per_sec);
-  }
-  if (monitor_ != nullptr) {
-    p.Counter("sentinel_monitor_requests_total",
-              "HTTP requests served by the monitor endpoint.", {},
-              monitor_->requests());
-  }
-
-  // Network plane: event-bus server (daemon side) and remote client.
-  if (event_bus_ != nullptr) {
-    const net::EventBusServerStats n = event_bus_->stats();
-    p.Counter("sentinel_net_accepted_total",
-              "Connections accepted by the event-bus server.", {},
-              n.accepted);
-    p.Counter("sentinel_net_rejected_sessions_total",
-              "Connections refused at the session limit.", {},
-              n.rejected_sessions);
-    p.Counter("sentinel_net_superseded_sessions_total",
-              "Sessions superseded by a reconnect of the same application.",
-              {}, n.superseded_sessions);
-    p.Gauge("sentinel_net_open_sessions", "Open event-bus sessions.", {},
-            n.open_sessions);
-    p.Counter("sentinel_net_notifies_received_total",
-              "NOTIFY frames decoded by the event-bus server.", {},
-              n.notifies_received);
-    p.Counter("sentinel_net_dispatched_total",
-              "Occurrences handed from the admission queue to the GED.", {},
-              n.dispatched);
-    p.Counter("sentinel_net_sheds_total",
-              "NOTIFY frames shed by admission control (RETRY_LATER).", {},
-              n.sheds);
-    p.Counter("sentinel_net_frame_errors_total",
-              "Framing/CRC violations observed on client streams.", {},
-              n.frame_errors);
-    p.Counter("sentinel_net_slow_consumer_disconnects_total",
-              "Sessions dropped for exceeding their outbound byte budget.",
-              {}, n.slow_consumer_disconnects);
-    p.Counter("sentinel_net_idle_disconnects_total",
-              "Sessions reaped by the idle/heartbeat timeout.", {},
-              n.idle_disconnects);
-    p.Counter("sentinel_net_pushes_sent_total",
-              "EVENT_PUSH frames queued to subscribers.", {}, n.pushes_sent);
-    p.Counter("sentinel_net_bytes_in_total",
-              "Bytes received by the event-bus server.", {}, n.bytes_in);
-    p.Counter("sentinel_net_bytes_out_total",
-              "Bytes sent by the event-bus server.", {}, n.bytes_out);
-    p.Gauge("sentinel_net_admission_depth",
-            "Admission-control queue depth.", {}, n.admission_depth);
-    p.Gauge("sentinel_net_admission_peak",
-            "Deepest the admission queue has been.", {}, n.admission_peak);
-    p.Gauge("sentinel_net_outbound_queued_bytes",
-            "Bytes queued across all session outbound buffers.", {},
-            n.outbound_queued_bytes);
-    p.Gauge("sentinel_net_overloaded",
-            "1 while the admission queue sits past its high-water mark.", {},
-            n.overloaded ? 1 : 0);
-    // Always-on end-to-end latency (client origin stamp → server-side
-    // milestone; wall clock, so cross-host skew shows up here, not in the
-    // steady-clock trace export).
-    p.Histogram("sentinel_net_e2e_delivery_ns",
-                "Origin-stamped occurrence to GED dispatch (ns).", {},
-                n.e2e_delivery_ns);
-    p.Histogram("sentinel_net_e2e_detect_ns",
-                "Origin-stamped occurrence to global detection push (ns).", {},
-                n.e2e_detect_ns);
-    p.Counter("sentinel_net_rtt_samples_total",
-              "Heartbeat round-trip samples collected.", {}, n.rtt_samples);
-    p.Histogram("sentinel_net_rtt_us",
-                "Heartbeat round-trip time across all sessions (us).", {},
-                n.rtt_us);
-    for (const net::SessionClockStats& sc : event_bus_->SessionClocks()) {
-      const obs::PromWriter::Labels labels = {
-          {"app", sc.app}, {"session", std::to_string(sc.session_id)}};
-      p.Histogram("sentinel_net_session_rtt_us",
-                  "Heartbeat round-trip time per session (us).", labels,
-                  sc.rtt_us);
-      p.GaugeF("sentinel_net_clock_offset_us",
-               "EWMA steady-clock offset of the client vs this server (us; "
-               "may be negative).",
-               labels, static_cast<double>(sc.clock_offset_us));
-    }
-  }
-  if (remote_client_ != nullptr) {
-    const net::RemoteGedClient::Stats c = remote_client_->stats();
-    p.Gauge("sentinel_net_client_connected",
-            "1 while the remote GED session is established.", {},
-            c.connected ? 1 : 0);
-    p.Counter("sentinel_net_client_connect_attempts_total",
-              "Dial attempts (including reconnects).", {},
-              c.connect_attempts);
-    p.Counter("sentinel_net_client_sessions_total",
-              "Sessions successfully established.", {},
-              c.sessions_established);
-    p.Counter("sentinel_net_client_disconnects_total",
-              "Established sessions that ended.", {}, c.disconnects);
-    p.Counter("sentinel_net_client_notifies_sent_total",
-              "NOTIFY frames written to the wire.", {}, c.notifies_sent);
-    p.Counter("sentinel_net_client_notifies_dropped_total",
-              "Events dropped by the bounded send buffer.", {},
-              c.notifies_dropped);
-    p.Counter("sentinel_net_client_pushes_received_total",
-              "EVENT_PUSH frames received.", {}, c.pushes_received);
-    p.Counter("sentinel_net_client_sheds_received_total",
-              "RETRY_LATER shed notices received.", {}, c.sheds_received);
-    p.Counter("sentinel_net_client_journal_replays_total",
-              "Journal entries replayed after reconnects.", {},
-              c.journal_replays);
-    p.Counter("sentinel_net_client_rtt_samples_total",
-              "Heartbeat round-trip samples collected by the client.", {},
-              c.rtt_samples);
-    p.Histogram("sentinel_net_client_rtt_us",
-                "Client-observed heartbeat round-trip time (us).", {},
-                c.rtt_us);
-    p.GaugeF("sentinel_net_client_clock_offset_us",
-             "EWMA steady-clock offset of the server vs this client (us; "
-             "may be negative).",
-             {}, static_cast<double>(c.clock_offset_us));
-    p.Histogram("sentinel_net_client_e2e_action_ns",
-                "Origin-stamped occurrence to push-handler completion (ns).",
-                {}, c.e2e_action_ns);
-  }
-
-  // Continuous profiling plane (sentinel_profile_* families; the mode,
-  // duration and seam families are always present, per-account families
-  // appear once the profiler has attributed cost).
-  profiler_.WritePrometheus(p);
-  return p.Take();
 }
 
 Result<oodb::Oid> ActiveDatabase::CreateObject(storage::TxnId txn,

@@ -178,11 +178,13 @@ class ActiveDatabase {
                                      storage::TxnId txn = storage::kInvalidTxnId,
                                      const std::string& path = "");
 
-  /// Pipeline-wide metrics snapshot (detector per-node counters, per-rule
-  /// latency histograms, scheduler totals, nested-txn gauges, tracer
-  /// counters, and — in persistent mode — the unified storage telemetry:
-  /// buffer pool / object cache hit rates, WAL + disk fsync histograms,
-  /// lock-manager wait/deadlock stats) as one JSON object.
+  /// Every metric row of the pipeline, one group per component (detector,
+  /// scheduler, rules, nested txns, storage, tracers, watchdog, monitor,
+  /// attached net endpoints, profiler): /metrics and /stats are this one
+  /// walk into two sinks.
+  void WriteMetrics(obs::MetricSink& s) const;
+
+  /// WriteMetrics as one JSON object (the /stats body).
   std::string StatsJson() const;
 
   // -- Live monitoring plane ----------------------------------------------------
@@ -199,9 +201,9 @@ class ActiveDatabase {
                               obs::Watchdog::Options watchdog_options = {});
   void StopMonitoring();
 
-  /// Full metric surface in Prometheus text exposition format: every
-  /// counter/gauge/histogram StatsJson reports, as sentinel_* families with
-  /// rule/event/context labels (see DESIGN.md §11 for the naming scheme).
+  /// WriteMetrics in Prometheus text exposition format (the /metrics body):
+  /// sentinel_* families with rule/event/context labels, one group per
+  /// family (see DESIGN.md §11 for the naming scheme).
   std::string PrometheusText();
 
   /// Health verdict as JSON; sets `*http_status` (when non-null) to 200 for

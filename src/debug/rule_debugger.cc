@@ -4,7 +4,7 @@
 #include <set>
 #include <sstream>
 
-#include "detector/operator_nodes.h"
+#include "obs/dot.h"
 
 namespace sentinel::debug {
 
@@ -67,37 +67,6 @@ std::string RuleDebugger::RenderTrace() const {
   return out.str();
 }
 
-std::string RuleDebugger::EventGraphDot(core::ActiveDatabase* db) {
-  detector::LocalEventDetector* det = db->detector();
-  std::ostringstream out;
-  out << "digraph event_graph {\n  rankdir=BT;\n";
-  for (const std::string& name : det->EventNames()) {
-    auto node = det->Find(name);
-    if (!node.ok()) continue;
-    std::string label = name;
-    std::string shape = "box";
-    if (auto* op = dynamic_cast<detector::OperatorNode*>(*node)) {
-      label += "\\n" + std::string(OperatorKindToString(op->kind()));
-      shape = "ellipse";
-    } else if (dynamic_cast<detector::PrimitiveEventNode*>(*node) != nullptr) {
-      shape = "box";
-    }
-    out << "  \"" << name << "\" [shape=" << shape << ", label=\"" << label
-        << "\"];\n";
-    for (detector::EventNode* child : (*node)->Children()) {
-      if (child == nullptr) continue;
-      out << "  \"" << child->name() << "\" -> \"" << name << "\";\n";
-    }
-    if ((*node)->sink_count() > 0) {
-      out << "  \"" << name << "_rules\" [shape=note, label=\""
-          << (*node)->sink_count() << " subscriber(s)\"];\n";
-      out << "  \"" << name << "\" -> \"" << name << "_rules\";\n";
-    }
-  }
-  out << "}\n";
-  return out.str();
-}
-
 std::string RuleDebugger::RuleInteractionDot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream out;
@@ -119,10 +88,11 @@ std::string RuleDebugger::RuleInteractionDot() const {
     last_at_depth[entry.depth] = entry.rule_name;
   }
   for (const std::string& rule : rules) {
-    out << "  \"" << rule << "\" [shape=box];\n";
+    out << "  " << obs::DotQuote(rule) << " [shape=box];\n";
   }
   for (const auto& [from, to] : edges) {
-    out << "  \"" << from << "\" -> \"" << to << "\" [label=triggers];\n";
+    out << "  " << obs::DotQuote(from) << " -> " << obs::DotQuote(to)
+        << " [label=triggers];\n";
   }
   out << "}\n";
   return out.str();

@@ -5,7 +5,7 @@
 
 #include "common/logging.h"
 #include "common/pool.h"
-#include "obs/json.h"
+#include "obs/dot.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 
@@ -718,9 +718,10 @@ const char* NodeKind(const EventNode* node) {
 
 std::string LocalEventDetector::DumpGraph() const {
   std::shared_lock<std::shared_mutex> lock(graph_mu_);
-  std::string out = "digraph events {\n  rankdir=BT;\n";
+  std::string out = "digraph event_graph {\n  rankdir=BT;\n";
   for (const auto& [name, node] : nodes_) {
-    out += "  \"" + name + "\" [label=\"" + name + "\\n" + NodeKind(node.get());
+    out += "  " + obs::DotQuote(name) + " [label=\"" + obs::DotEscape(name) +
+           "\\n" + NodeKind(node.get());
     std::string refs;
     for (int c = 0; c < kNumContexts; ++c) {
       const auto context = static_cast<ParamContext>(c);
@@ -734,13 +735,18 @@ std::string LocalEventDetector::DumpGraph() const {
     const obs::NodeMetrics& m = node->metrics();
     out += "\\nrecv=" + std::to_string(m.received_total()) +
            " det=" + std::to_string(m.detected_total()) +
-           " buf=" + std::to_string(node->BufferedCount()) + "\"];\n";
+           " buf=" + std::to_string(node->BufferedCount());
+    if (node->sink_count() > 0) {
+      out += "\\n" + std::to_string(node->sink_count()) + " subscriber(s)";
+    }
+    out += "\"];\n";
   }
   // Edges point child → parent (detections flow upward).
   for (const auto& [name, node] : nodes_) {
     for (EventNode* child : node->Children()) {
       if (child != nullptr) {
-        out += "  \"" + child->name() + "\" -> \"" + name + "\";\n";
+        out += "  " + obs::DotQuote(child->name()) + " -> " +
+               obs::DotQuote(name) + ";\n";
       }
     }
   }
@@ -748,74 +754,67 @@ std::string LocalEventDetector::DumpGraph() const {
   return out;
 }
 
-std::string LocalEventDetector::StatsJson() const {
+void LocalEventDetector::WriteMetrics(obs::MetricSink& s) const {
+  const Totals totals = TotalsSnapshot();
+  s.Counter({"sentinel_detector_notifications_total",
+             "Raw event notifications accepted by the detector.",
+             "notify_count"},
+            totals.notifications);
+  s.Counter({"sentinel_detector_detections_total",
+             "Occurrences emitted by event-graph nodes.", "detections"},
+            totals.detections);
+  s.Counter({"sentinel_detector_flushed_total",
+             "Buffered occurrences dropped by transaction flushes.",
+             "flushed"},
+            totals.flushed);
+  s.Gauge({"sentinel_detector_buffered",
+           "Occurrences currently buffered in the event graph.", "buffered"},
+          totals.buffered);
+
   std::shared_lock<std::shared_mutex> lock(graph_mu_);
-  obs::JsonWriter w;
-  w.BeginObject();
-  w.Field("notify_count", notify_count_.load(std::memory_order_relaxed));
-  w.Field("node_count", nodes_.size());
-  std::size_t buffered = 0;
-  for (const auto& [name, node] : nodes_) {
-    (void)name;
-    buffered += node->BufferedCount();
-  }
-  w.Field("buffered", buffered);
-  w.Key("events").BeginArray();
+  s.Gauge({{}, {}, "node_count"}, nodes_.size());
+  s.OpenList("events");
   for (const auto& [name, node] : nodes_) {
     const obs::NodeMetrics& m = node->metrics();
-    w.BeginObject();
-    w.Field("name", name);
-    w.Field("kind", NodeKind(node.get()));
-    w.Field("sinks", node->sink_count());
-    w.Field("buffered", node->BufferedCount());
-    w.Field("flushed", m.flushed());
-    w.Field("received", m.received_total());
-    w.Field("detected", m.detected_total());
-    w.Key("contexts").BeginObject();
+    const char* kind = NodeKind(node.get());
+    const obs::MetricSink::Labels labels = {{"event", name}, {"kind", kind}};
+    s.OpenItem();
+    s.Info("name", name);
+    s.Info("kind", kind);
+    s.Gauge({{}, {}, "sinks"}, node->sink_count());
+    s.Gauge({"sentinel_event_buffered",
+             "Occurrences buffered at an event node.", "buffered", labels},
+            node->BufferedCount());
+    s.Counter({{}, {}, "flushed"}, m.flushed());
+    s.Counter({{}, {}, "received"}, m.received_total());
+    s.Counter({{}, {}, "detected"}, m.detected_total());
+    s.Open("contexts");
     for (int c = 0; c < kNumContexts; ++c) {
       const auto context = static_cast<ParamContext>(c);
       const auto snap = m.ForContext(context);
       const int refs = node->ContextRefs(context);
       if (refs == 0 && snap.received == 0 && snap.detected == 0) continue;
-      w.Key(ParamContextToString(context)).BeginObject();
-      w.Field("refs", static_cast<std::uint64_t>(refs));
-      w.Field("received", snap.received);
-      w.Field("detected", snap.detected);
-      w.EndObject();
+      obs::MetricSink::Labels ctx_labels = labels;
+      ctx_labels.emplace_back("context", ParamContextToString(context));
+      s.Open(ParamContextToString(context));
+      s.Gauge({"sentinel_event_context_refs",
+               "Subscriber reference count per parameter context.", "refs",
+               ctx_labels},
+              static_cast<std::uint64_t>(refs > 0 ? refs : 0));
+      s.Counter({"sentinel_event_received_total",
+                 "Occurrences delivered into an event node, by context.",
+                 "received", ctx_labels},
+                snap.received);
+      s.Counter({"sentinel_event_detected_total",
+                 "Occurrences emitted by an event node, by context.",
+                 "detected", ctx_labels},
+                snap.detected);
+      s.Close();
     }
-    w.EndObject();  // contexts
-    w.EndObject();  // event
+    s.Close();  // contexts
+    s.Close();  // event
   }
-  w.EndArray();
-  w.EndObject();
-  return w.Take();
-}
-
-std::vector<LocalEventDetector::NodeStat> LocalEventDetector::SnapshotNodes()
-    const {
-  std::shared_lock<std::shared_mutex> lock(graph_mu_);
-  std::vector<NodeStat> stats;
-  stats.reserve(nodes_.size());
-  for (const auto& [name, node] : nodes_) {
-    const obs::NodeMetrics& m = node->metrics();
-    NodeStat stat;
-    stat.name = name;
-    stat.kind = NodeKind(node.get());
-    stat.sinks = node->sink_count();
-    stat.buffered = node->BufferedCount();
-    stat.flushed = m.flushed();
-    stat.received = m.received_total();
-    stat.detected = m.detected_total();
-    for (int c = 0; c < kNumContexts; ++c) {
-      const auto context = static_cast<ParamContext>(c);
-      const auto snap = m.ForContext(context);
-      stat.contexts[c].refs = node->ContextRefs(context);
-      stat.contexts[c].received = snap.received;
-      stat.contexts[c].detected = snap.detected;
-    }
-    stats.push_back(std::move(stat));
-  }
-  return stats;
+  s.Close();
 }
 
 LocalEventDetector::Totals LocalEventDetector::TotalsSnapshot() const {

@@ -16,6 +16,7 @@
 #include "common/symbol.h"
 #include "detector/event_node.h"
 #include "detector/operator_nodes.h"
+#include "obs/metric_sink.h"
 #include "oodb/schema.h"
 
 namespace sentinel::detector {
@@ -207,31 +208,15 @@ class LocalEventDetector {
     return profiler_.load(std::memory_order_acquire);
   }
 
-  /// Event graph in Graphviz DOT, nodes annotated with their per-context
-  /// reference counts and detection counters.
+  /// Event graph in Graphviz DOT (`digraph event_graph`), nodes annotated
+  /// with their per-context reference counts, detection counters and
+  /// subscriber count.
   std::string DumpGraph() const;
 
-  /// Per-node / per-context counters plus detector totals as a JSON object.
-  std::string StatsJson() const;
-
-  /// Structured counter snapshot of one graph node, for renderers that need
-  /// more than the pre-baked JSON (the Prometheus exposition).
-  struct NodeStat {
-    std::string name;
-    std::string kind;
-    std::size_t sinks = 0;
-    std::size_t buffered = 0;
-    std::uint64_t flushed = 0;
-    std::uint64_t received = 0;
-    std::uint64_t detected = 0;
-    struct Context {
-      int refs = 0;
-      std::uint64_t received = 0;
-      std::uint64_t detected = 0;
-    };
-    std::array<Context, kNumContexts> contexts;
-  };
-  std::vector<NodeStat> SnapshotNodes() const;
+  /// Detector totals plus the per-node / per-context rows (`events` list).
+  void WriteMetrics(obs::MetricSink& s) const;
+  /// WriteMetrics rendered as a JSON object.
+  std::string StatsJson() const { return obs::MetricsJson(*this); }
 
   /// Graph-wide counter totals (the watchdog's per-tick sample; one shared
   /// lock + one pass over the nodes).

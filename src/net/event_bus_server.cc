@@ -8,7 +8,6 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "detector/event_node.h"
-#include "obs/json.h"
 #include "obs/span.h"
 
 namespace sentinel::net {
@@ -914,70 +913,125 @@ EventBusServerStats EventBusServer::stats() const {
   return s;
 }
 
-std::vector<SessionClockStats> EventBusServer::SessionClocks() const {
-  std::vector<SessionClockStats> out;
+void EventBusServer::WriteMetrics(obs::MetricSink& s) const {
+  const EventBusServerStats n = stats();
+  // /stats keeps a p50/p99 summary per histogram. The µs RTT histograms are
+  // /metrics-only: HistogramJson names its fields in ns.
+  const auto quantiles = [&s](std::string_view p50, std::string_view p99,
+                              const obs::LatencyHistogram::Snapshot& h) {
+    s.Gauge({{}, {}, p50}, h.QuantileNs(0.5));
+    s.Gauge({{}, {}, p99}, h.QuantileNs(0.99));
+  };
+  s.Flag({{}, {}, "running"}, running());
+  s.Gauge({{}, {}, "port"}, static_cast<std::uint64_t>(port()));
+  s.Counter({"sentinel_net_accepted_total",
+             "Connections accepted by the event-bus server.", "accepted"},
+            n.accepted);
+  s.Counter({"sentinel_net_rejected_sessions_total",
+             "Connections refused at the session limit.", "rejected_sessions"},
+            n.rejected_sessions);
+  s.Counter({"sentinel_net_superseded_sessions_total",
+             "Sessions superseded by a reconnect of the same application.",
+             "superseded_sessions"},
+            n.superseded_sessions);
+  s.Gauge({"sentinel_net_open_sessions", "Open event-bus sessions.",
+           "open_sessions"},
+          n.open_sessions);
+  s.Counter({"sentinel_net_notifies_received_total",
+             "NOTIFY frames decoded by the event-bus server.",
+             "notifies_received"},
+            n.notifies_received);
+  s.Counter({"sentinel_net_dispatched_total",
+             "Occurrences handed from the admission queue to the GED.",
+             "dispatched"},
+            n.dispatched);
+  s.Counter({"sentinel_net_sheds_total",
+             "NOTIFY frames shed by admission control (RETRY_LATER).", "sheds"},
+            n.sheds);
+  s.Counter({"sentinel_net_frame_errors_total",
+             "Framing/CRC violations observed on client streams.",
+             "frame_errors"},
+            n.frame_errors);
+  s.Counter({"sentinel_net_slow_consumer_disconnects_total",
+             "Sessions dropped for exceeding their outbound byte budget.",
+             "slow_consumer_disconnects"},
+            n.slow_consumer_disconnects);
+  s.Counter({"sentinel_net_idle_disconnects_total",
+             "Sessions reaped by the idle/heartbeat timeout.",
+             "idle_disconnects"},
+            n.idle_disconnects);
+  s.Counter({"sentinel_net_pushes_sent_total",
+             "EVENT_PUSH frames queued to subscribers.", "pushes_sent"},
+            n.pushes_sent);
+  s.Counter({{}, {}, "pings_sent"}, n.pings_sent);
+  s.Counter({"sentinel_net_bytes_in_total",
+             "Bytes received by the event-bus server.", "bytes_in"},
+            n.bytes_in);
+  s.Counter({"sentinel_net_bytes_out_total",
+             "Bytes sent by the event-bus server.", "bytes_out"},
+            n.bytes_out);
+  s.Gauge({"sentinel_net_admission_depth", "Admission-control queue depth.",
+           "admission_depth"},
+          n.admission_depth);
+  s.Gauge({"sentinel_net_admission_peak",
+           "Deepest the admission queue has been.", "admission_peak"},
+          n.admission_peak);
+  s.Gauge({"sentinel_net_outbound_queued_bytes",
+           "Bytes queued across all session outbound buffers.",
+           "outbound_queued_bytes"},
+          n.outbound_queued_bytes);
+  s.Flag({"sentinel_net_overloaded",
+          "1 while the admission queue sits past its high-water mark.",
+          "overloaded"},
+         n.overloaded);
+  s.Counter({"sentinel_net_rtt_samples_total",
+             "Heartbeat round-trip samples collected.", "rtt_samples"},
+            n.rtt_samples);
+  s.Histogram({"sentinel_net_rtt_us",
+               "Heartbeat round-trip time across all sessions (us).", {}},
+              n.rtt_us);
+  quantiles("rtt_p50_us", "rtt_p99_us", n.rtt_us);
+  // Always-on end-to-end latency (client origin stamp → server-side
+  // milestone; wall clock, so cross-host skew shows up here, not in the
+  // steady-clock trace export).
+  s.Histogram({"sentinel_net_e2e_delivery_ns",
+               "Origin-stamped occurrence to GED dispatch (ns).",
+               "e2e_delivery_ns"},
+              n.e2e_delivery_ns);
+  quantiles("e2e_delivery_p50_ns", "e2e_delivery_p99_ns", n.e2e_delivery_ns);
+  s.Histogram({"sentinel_net_e2e_detect_ns",
+               "Origin-stamped occurrence to global detection push (ns).",
+               "e2e_detect_ns"},
+              n.e2e_detect_ns);
+  quantiles("e2e_detect_p50_ns", "e2e_detect_p99_ns", n.e2e_detect_ns);
+
+  // Heartbeat timing per live session.
+  s.OpenList("session_clocks");
   std::lock_guard<std::mutex> lock(sessions_mu_);
-  out.reserve(sessions_.size());
   for (const auto& [id, session] : sessions_) {
     if (session->doomed) continue;
-    SessionClockStats c;
-    c.session_id = id;
-    c.app = session->app_name;
-    c.rtt_samples = session->rtt_samples.load(std::memory_order_relaxed);
-    c.clock_offset_us =
-        session->clock_offset_ns.load(std::memory_order_relaxed) / 1000;
-    c.rtt_us = session->rtt_us.TakeSnapshot();
-    out.push_back(std::move(c));
+    const obs::MetricSink::Labels labels = {{"app", session->app_name},
+                                            {"session", std::to_string(id)}};
+    const auto rtt = session->rtt_us.TakeSnapshot();
+    s.OpenItem();
+    s.Gauge({{}, {}, "session"}, id);
+    s.Info("app", session->app_name);
+    s.Counter({{}, {}, "rtt_samples"},
+              session->rtt_samples.load(std::memory_order_relaxed));
+    s.Histogram({"sentinel_net_session_rtt_us",
+                 "Heartbeat round-trip time per session (us).", {}, labels},
+                rtt);
+    quantiles("rtt_p50_us", "rtt_p99_us", rtt);
+    s.GaugeF({"sentinel_net_clock_offset_us",
+              "EWMA steady-clock offset of the client vs this server (us; "
+              "may be negative).",
+              "clock_offset_us", labels},
+             static_cast<double>(
+                 session->clock_offset_ns.load(std::memory_order_relaxed) /
+                 1000));
+    s.Close();
   }
-  return out;
-}
-
-std::string EventBusServer::StatsJson() const {
-  const EventBusServerStats s = stats();
-  obs::JsonWriter w;
-  w.BeginObject();
-  w.Field("running", running());
-  w.Field("port", port());
-  w.Field("accepted", s.accepted);
-  w.Field("rejected_sessions", s.rejected_sessions);
-  w.Field("superseded_sessions", s.superseded_sessions);
-  w.Field("open_sessions", s.open_sessions);
-  w.Field("notifies_received", s.notifies_received);
-  w.Field("dispatched", s.dispatched);
-  w.Field("sheds", s.sheds);
-  w.Field("frame_errors", s.frame_errors);
-  w.Field("slow_consumer_disconnects", s.slow_consumer_disconnects);
-  w.Field("idle_disconnects", s.idle_disconnects);
-  w.Field("pushes_sent", s.pushes_sent);
-  w.Field("pings_sent", s.pings_sent);
-  w.Field("bytes_in", s.bytes_in);
-  w.Field("bytes_out", s.bytes_out);
-  w.Field("admission_depth", s.admission_depth);
-  w.Field("admission_peak", s.admission_peak);
-  w.Field("outbound_queued_bytes", s.outbound_queued_bytes);
-  w.Field("overloaded", s.overloaded);
-  w.Field("rtt_samples", s.rtt_samples);
-  w.Field("rtt_p50_us", s.rtt_us.QuantileNs(0.5));
-  w.Field("rtt_p99_us", s.rtt_us.QuantileNs(0.99));
-  w.Field("e2e_delivery_p50_ns", s.e2e_delivery_ns.QuantileNs(0.5));
-  w.Field("e2e_delivery_p99_ns", s.e2e_delivery_ns.QuantileNs(0.99));
-  w.Field("e2e_detect_p50_ns", s.e2e_detect_ns.QuantileNs(0.5));
-  w.Field("e2e_detect_p99_ns", s.e2e_detect_ns.QuantileNs(0.99));
-  w.Key("session_clocks");
-  w.BeginArray();
-  for (const SessionClockStats& c : SessionClocks()) {
-    w.BeginObject();
-    w.Field("session", c.session_id);
-    w.Field("app", c.app);
-    w.Field("rtt_samples", c.rtt_samples);
-    w.Field("rtt_p50_us", c.rtt_us.QuantileNs(0.5));
-    w.Field("rtt_p99_us", c.rtt_us.QuantileNs(0.99));
-    w.Field("clock_offset_us", c.clock_offset_us);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.Take();
+  s.Close();
 }
 
 }  // namespace sentinel::net

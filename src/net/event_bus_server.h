@@ -20,24 +20,13 @@
 #include "ged/global_detector.h"
 #include "net/protocol.h"
 #include "net/socket_util.h"
-#include "obs/metrics.h"
+#include "obs/metric_sink.h"
 
 namespace sentinel::obs {
 class SpanTracer;
 }  // namespace sentinel::obs
 
 namespace sentinel::net {
-
-/// Per-session heartbeat timing (DESIGN.md §14): RTT histogram in
-/// MICROseconds plus the EWMA-smoothed steady-clock offset of the peer
-/// relative to this server (positive = peer's steady clock is ahead).
-struct SessionClockStats {
-  std::uint64_t session_id = 0;
-  std::string app;
-  std::uint64_t rtt_samples = 0;
-  std::int64_t clock_offset_us = 0;
-  obs::LatencyHistogram::Snapshot rtt_us;
-};
 
 /// Counter/gauge snapshot of the event-bus server (the sentinel_net_*
 /// Prometheus families). Counters are cumulative since Start.
@@ -62,7 +51,7 @@ struct EventBusServerStats {
   bool overloaded = false;               // admission queue past high water
   std::uint64_t rtt_samples = 0;         // timed pongs folded into rtt_us
   /// Heartbeat round trips, aggregated over all sessions (µs buckets; the
-  /// per-session split lives in SessionClocks()).
+  /// per-session split is in WriteMetrics' `session_clocks`).
   obs::LatencyHistogram::Snapshot rtt_us;
   /// End-to-end latency (ns), measured against the ORIGINATING client's
   /// wall-clock Notify timestamp: at GED dispatch, and at global detection
@@ -140,11 +129,12 @@ class EventBusServer {
   std::size_t session_count() const;
 
   EventBusServerStats stats() const;
-  std::string StatsJson() const;
-
-  /// Heartbeat timing per live session (shell `ged stats`, /metrics
-  /// per-session RTT/offset series).
-  std::vector<SessionClockStats> SessionClocks() const;
+  /// The sentinel_net_* server rows, then one `session_clocks` item per
+  /// live session: heartbeat RTT histogram (µs) and the EWMA steady-clock
+  /// offset of the peer relative to this server (positive = peer ahead).
+  void WriteMetrics(obs::MetricSink& s) const;
+  /// WriteMetrics rendered as a JSON object (shell `ged stats`).
+  std::string StatsJson() const { return obs::MetricsJson(*this); }
 
   /// Attaches the causal span tracer: the I/O and dispatcher threads record
   /// kNet* spans (frame decode, admission wait, outbound wait, socket

@@ -6,7 +6,6 @@
 #include <cerrno>
 
 #include "common/logging.h"
-#include "obs/json.h"
 #include "obs/span.h"
 
 namespace sentinel::net {
@@ -625,28 +624,58 @@ RemoteGedClient::Stats RemoteGedClient::stats() const {
   return s;
 }
 
-std::string RemoteGedClient::StatsJson() const {
-  const Stats s = stats();
-  obs::JsonWriter w;
-  w.BeginObject();
-  w.Field("connected", s.connected);
-  w.Field("connect_attempts", s.connect_attempts);
-  w.Field("sessions_established", s.sessions_established);
-  w.Field("disconnects", s.disconnects);
-  w.Field("notifies_sent", s.notifies_sent);
-  w.Field("notifies_dropped", s.notifies_dropped);
-  w.Field("pushes_received", s.pushes_received);
-  w.Field("sheds_received", s.sheds_received);
-  w.Field("journal_replays", s.journal_replays);
-  w.Field("rtt_samples", s.rtt_samples);
-  w.Field("rtt_p50_us", s.rtt_us.QuantileNs(0.5));
-  w.Field("rtt_p99_us", s.rtt_us.QuantileNs(0.99));
-  w.Field("clock_offset_us", s.clock_offset_us);
-  w.Field("e2e_action_p50_ns", s.e2e_action_ns.QuantileNs(0.5));
-  w.Field("e2e_action_p99_ns", s.e2e_action_ns.QuantileNs(0.99));
-  w.Field("last_error", last_error());
-  w.EndObject();
-  return w.Take();
+void RemoteGedClient::WriteMetrics(obs::MetricSink& s) const {
+  const Stats c = stats();
+  s.Flag({"sentinel_net_client_connected",
+          "1 while the remote GED session is established.", "connected"},
+         c.connected);
+  s.Counter({"sentinel_net_client_connect_attempts_total",
+             "Dial attempts (including reconnects).", "connect_attempts"},
+            c.connect_attempts);
+  s.Counter({"sentinel_net_client_sessions_total",
+             "Sessions successfully established.", "sessions_established"},
+            c.sessions_established);
+  s.Counter({"sentinel_net_client_disconnects_total",
+             "Established sessions that ended.", "disconnects"},
+            c.disconnects);
+  s.Counter({"sentinel_net_client_notifies_sent_total",
+             "NOTIFY frames written to the wire.", "notifies_sent"},
+            c.notifies_sent);
+  s.Counter({"sentinel_net_client_notifies_dropped_total",
+             "Events dropped by the bounded send buffer.", "notifies_dropped"},
+            c.notifies_dropped);
+  s.Counter({"sentinel_net_client_pushes_received_total",
+             "EVENT_PUSH frames received.", "pushes_received"},
+            c.pushes_received);
+  s.Counter({"sentinel_net_client_sheds_received_total",
+             "RETRY_LATER shed notices received.", "sheds_received"},
+            c.sheds_received);
+  s.Counter({"sentinel_net_client_journal_replays_total",
+             "Journal entries replayed after reconnects.", "journal_replays"},
+            c.journal_replays);
+  s.Counter({"sentinel_net_client_rtt_samples_total",
+             "Heartbeat round-trip samples collected by the client.",
+             "rtt_samples"},
+            c.rtt_samples);
+  // µs histogram: /metrics-only (HistogramJson names its fields in ns);
+  // /stats gets the p50/p99 summary.
+  s.Histogram({"sentinel_net_client_rtt_us",
+               "Client-observed heartbeat round-trip time (us).", {}},
+              c.rtt_us);
+  s.Gauge({{}, {}, "rtt_p50_us"}, c.rtt_us.QuantileNs(0.5));
+  s.Gauge({{}, {}, "rtt_p99_us"}, c.rtt_us.QuantileNs(0.99));
+  s.GaugeF({"sentinel_net_client_clock_offset_us",
+            "EWMA steady-clock offset of the server vs this client (us; "
+            "may be negative).",
+            "clock_offset_us"},
+           static_cast<double>(c.clock_offset_us));
+  s.Histogram({"sentinel_net_client_e2e_action_ns",
+               "Origin-stamped occurrence to push-handler completion (ns).",
+               "e2e_action_ns"},
+              c.e2e_action_ns);
+  s.Gauge({{}, {}, "e2e_action_p50_ns"}, c.e2e_action_ns.QuantileNs(0.5));
+  s.Gauge({{}, {}, "e2e_action_p99_ns"}, c.e2e_action_ns.QuantileNs(0.99));
+  s.Info("last_error", last_error());
 }
 
 }  // namespace sentinel::net

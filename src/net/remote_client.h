@@ -20,7 +20,7 @@
 #include "detector/local_detector.h"
 #include "net/protocol.h"
 #include "net/socket_util.h"
-#include "obs/metrics.h"
+#include "obs/metric_sink.h"
 
 namespace sentinel::obs {
 class SpanTracer;
@@ -149,7 +149,10 @@ class RemoteGedClient {
   void BindLocalDetector(detector::LocalEventDetector* det);
 
   Stats stats() const;
-  std::string StatsJson() const;
+  /// The sentinel_net_client_* rows (plus p50/p99 summaries, /stats only).
+  void WriteMetrics(obs::MetricSink& s) const;
+  /// WriteMetrics rendered as a JSON object (shell `ged stats`).
+  std::string StatsJson() const { return obs::MetricsJson(*this); }
 
   /// Attaches the causal span tracer: Notify opens a frame-encode span
   /// whose id crosses the wire as the server's remote parent, and pushes

@@ -1,8 +1,11 @@
 #ifndef SENTINEL_OBS_JSON_H_
 #define SENTINEL_OBS_JSON_H_
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 namespace sentinel::obs {
@@ -35,7 +38,7 @@ class JsonWriter {
     return *this;
   }
 
-  JsonWriter& Key(const std::string& key) {
+  JsonWriter& Key(std::string_view key) {
     Separate();
     AppendString(key);
     out_ += ':';
@@ -43,12 +46,12 @@ class JsonWriter {
     return *this;
   }
 
-  JsonWriter& Value(const std::string& v) {
+  JsonWriter& Value(std::string_view v) {
     Separate();
     AppendString(v);
     return *this;
   }
-  JsonWriter& Value(const char* v) { return Value(std::string(v)); }
+  JsonWriter& Value(const char* v) { return Value(std::string_view(v)); }
   template <typename T,
             std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>,
                              int> = 0>
@@ -62,9 +65,15 @@ class JsonWriter {
     out_ += v ? "true" : "false";
     return *this;
   }
+  /// Non-finite values have no JSON form and render as null.
+  JsonWriter& Value(double v) {
+    char buf[32] = "null";
+    if (std::isfinite(v)) std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return Raw(buf);
+  }
 
   template <typename T>
-  JsonWriter& Field(const std::string& key, T v) {
+  JsonWriter& Field(std::string_view key, T v) {
     Key(key);
     return Value(v);
   }
@@ -85,7 +94,7 @@ class JsonWriter {
     fresh_ = false;
   }
 
-  void AppendString(const std::string& s) {
+  void AppendString(std::string_view s) {
     out_ += '"';
     for (char c : s) {
       switch (c) {

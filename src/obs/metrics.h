@@ -135,7 +135,6 @@ class NodeMetrics {
   struct ContextSnapshot {
     std::uint64_t received = 0;  // occurrences delivered into this node
     std::uint64_t detected = 0;  // occurrences this node emitted
-    std::uint64_t flushed = 0;   // buffered occurrences dropped by flushes
   };
 
   void OnReceived(detector::ParamContext context) {

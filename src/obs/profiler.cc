@@ -4,11 +4,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "detector/event_types.h"
 #include "obs/json.h"
-#include "obs/prometheus.h"
+#include "obs/metric_sink.h"
 
 namespace sentinel::obs {
 
@@ -18,39 +18,39 @@ namespace {
 /// phase-lock with millisecond-periodic workloads.
 constexpr std::chrono::microseconds kSampleInterval{997};
 
-/// Process-wide set of live profilers (leaked statics so thread-exit
+/// Process-wide map of live profilers by id (leaked statics so thread-exit
 /// destructors may consult them at any time). EnsureThisThread registers
 /// arbitrary executing threads — including application threads that outlive
 /// the database — so the thread-exit unregistration must first check that
-/// the owning profiler still exists.
+/// the owning profiler still exists. Ids are never reused: a new profiler
+/// allocated where a destroyed one lived must not inherit its threads.
 std::mutex& AliveMutex() {
   static std::mutex* mu = new std::mutex();
   return *mu;
 }
-std::unordered_set<Profiler*>& AliveSet() {
-  static auto* set = new std::unordered_set<Profiler*>();
-  return *set;
+std::unordered_map<std::uint64_t, Profiler*>& Alive() {
+  static auto* alive = new std::unordered_map<std::uint64_t, Profiler*>();
+  return *alive;
 }
 
-void UnregisterIfAlive(Profiler* profiler,
+void UnregisterIfAlive(std::uint64_t id,
                        Profiler::ThreadAnnotations* annotations) {
   // Holding the alive mutex across the unregister pins ~Profiler (which
   // erases itself under the same mutex before tearing anything down), so the
   // call below never races destruction.
   std::lock_guard<std::mutex> lock(AliveMutex());
-  if (AliveSet().count(profiler) != 0) {
-    profiler->UnregisterThread(annotations);
-  }
+  auto it = Alive().find(id);
+  if (it != Alive().end()) it->second->UnregisterThread(annotations);
 }
 
 /// Thread-local registration handle for EnsureThisThread: unregisters at
 /// thread exit. One slot per thread is enough — workers belong to exactly
 /// one database (and therefore one profiler) at a time.
 struct ThreadRegistration {
-  Profiler* owner = nullptr;
+  std::uint64_t owner = 0;  // the owning profiler's id; 0 = none
   Profiler::ThreadAnnotations* annotations = nullptr;
   ~ThreadRegistration() {
-    if (owner != nullptr) UnregisterIfAlive(owner, annotations);
+    if (owner != 0) UnregisterIfAlive(owner, annotations);
   }
 };
 thread_local ThreadRegistration t_registration;
@@ -58,14 +58,16 @@ thread_local ThreadRegistration t_registration;
 }  // namespace
 
 Profiler::Profiler() {
+  static std::uint64_t last_id = 0;  // guarded by AliveMutex
   std::lock_guard<std::mutex> lock(AliveMutex());
-  AliveSet().insert(this);
+  id_ = ++last_id;
+  Alive().emplace(id_, this);
 }
 
 Profiler::~Profiler() {
   {
     std::lock_guard<std::mutex> lock(AliveMutex());
-    AliveSet().erase(this);
+    Alive().erase(id_);
   }
   Stop();
 }
@@ -355,10 +357,10 @@ void Profiler::UnregisterThread(ThreadAnnotations* thread) {
 
 Profiler::ThreadAnnotations* Profiler::EnsureThisThread(
     const char* name_prefix) {
-  if (t_registration.owner == this) return t_registration.annotations;
-  if (t_registration.owner != nullptr) {
+  if (t_registration.owner == id_) return t_registration.annotations;
+  if (t_registration.owner != 0) {
     UnregisterIfAlive(t_registration.owner, t_registration.annotations);
-    t_registration.owner = nullptr;
+    t_registration.owner = 0;
   }
   std::string name;
   {
@@ -367,7 +369,7 @@ Profiler::ThreadAnnotations* Profiler::EnsureThisThread(
            std::to_string(thread_storage_.size());
   }
   t_registration.annotations = RegisterThread(std::move(name));
-  t_registration.owner = this;
+  t_registration.owner = id_;
   return t_registration.annotations;
 }
 
@@ -603,110 +605,116 @@ std::string Profiler::ProfileJson() const {
   return w.Take();
 }
 
-void Profiler::WritePrometheus(PromWriter& w) const {
-  w.Gauge("sentinel_profile_mode", "Profiling mode (0=off, 1=on)", {},
-          enabled() ? 1 : 0);
-  w.Gauge("sentinel_profile_duration_ns",
-          "Cumulative nanoseconds profiling has been enabled", {},
+void Profiler::WriteMetrics(MetricSink& s) const {
+  s.Flag({"sentinel_profile_mode", "Profiling mode (0=off, 1=on)", "enabled"},
+         enabled());
+  s.Gauge({"sentinel_profile_duration_ns",
+           "Cumulative nanoseconds profiling has been enabled", "duration_ns"},
           duration_ns());
-  w.Counter("sentinel_profile_samples_total",
-            "Wall-clock sampler ticks taken", {}, samples());
+  s.Counter({"sentinel_profile_samples_total",
+             "Wall-clock sampler ticks taken", "samples"},
+            samples());
 
-  const auto rules = RuleSnapshots();
-  if (!rules.empty()) {
-    w.Family("sentinel_profile_rule_invocations_total",
-             "Rule seam invocations attributed by the profiler", "counter");
-    w.Family("sentinel_profile_rule_cpu_ns_total",
-             "Per-rule seam CPU time (thread clock), nanoseconds", "counter");
-    w.Family("sentinel_profile_rule_wall_ns_total",
-             "Per-rule seam wall time, nanoseconds", "counter");
-    for (const RuleSnapshot& rule : rules) {
-      for (int i = 0; i < kRuleSeams; ++i) {
-        const PromWriter::Labels labels = {
-            {"rule", rule.name},
-            {"seam", RuleSeamName(static_cast<RuleSeam>(i))}};
-        w.Sample("sentinel_profile_rule_invocations_total", labels,
-                 rule.seams[i].invocations);
-        w.Sample("sentinel_profile_rule_cpu_ns_total", labels,
-                 rule.seams[i].cpu_ns);
-        w.Sample("sentinel_profile_rule_wall_ns_total", labels,
-                 rule.seams[i].wall_ns);
-      }
+  s.OpenList("rules");
+  for (const RuleSnapshot& rule : RuleSnapshots()) {
+    s.OpenItem();
+    s.Info("name", rule.name);
+    for (int i = 0; i < kRuleSeams; ++i) {
+      const char* seam = RuleSeamName(static_cast<RuleSeam>(i));
+      const MetricSink::Labels labels = {{"rule", rule.name}, {"seam", seam}};
+      s.Open(seam);
+      s.Counter({"sentinel_profile_rule_invocations_total",
+                 "Rule seam invocations attributed by the profiler",
+                 "invocations", labels},
+                rule.seams[i].invocations);
+      s.Counter({"sentinel_profile_rule_cpu_ns_total",
+                 "Per-rule seam CPU time (thread clock), nanoseconds",
+                 "cpu_ns", labels},
+                rule.seams[i].cpu_ns);
+      s.Counter({"sentinel_profile_rule_wall_ns_total",
+                 "Per-rule seam wall time, nanoseconds", "wall_ns", labels},
+                rule.seams[i].wall_ns);
+      s.Close();
     }
+    s.Close();
   }
+  s.Close();
 
-  const auto nodes = NodeSnapshots();
-  if (!nodes.empty()) {
-    w.Family("sentinel_profile_node_invocations_total",
-             "Operator-node evaluations attributed by the profiler",
-             "counter");
-    w.Family("sentinel_profile_node_cpu_ns_total",
-             "Per-event-node evaluation CPU time, nanoseconds", "counter");
-    w.Family("sentinel_profile_node_wall_ns_total",
-             "Per-event-node evaluation wall time, nanoseconds", "counter");
-    for (const NodeSnapshot& node : nodes) {
-      const PromWriter::Labels labels = {{"node", node.name}};
-      w.Sample("sentinel_profile_node_invocations_total", labels,
-               node.eval.invocations);
-      w.Sample("sentinel_profile_node_cpu_ns_total", labels, node.eval.cpu_ns);
-      w.Sample("sentinel_profile_node_wall_ns_total", labels,
-               node.eval.wall_ns);
-    }
+  s.OpenList("nodes");
+  for (const NodeSnapshot& node : NodeSnapshots()) {
+    const MetricSink::Labels labels = {{"node", node.name}};
+    s.OpenItem();
+    s.Info("name", node.name);
+    s.Counter({"sentinel_profile_node_invocations_total",
+               "Operator-node evaluations attributed by the profiler",
+               "invocations", labels},
+              node.eval.invocations);
+    s.Counter({"sentinel_profile_node_cpu_ns_total",
+               "Per-event-node evaluation CPU time, nanoseconds", "cpu_ns",
+               labels},
+              node.eval.cpu_ns);
+    s.Counter({"sentinel_profile_node_wall_ns_total",
+               "Per-event-node evaluation wall time, nanoseconds", "wall_ns",
+               labels},
+              node.eval.wall_ns);
+    s.Close();
   }
+  s.Close();
 
-  const auto symbols = SymbolSnapshots();
-  if (!symbols.empty()) {
-    w.Family("sentinel_profile_symbol_events_total",
-             "Primitive event dispatches per interned class symbol",
-             "counter");
-    w.Family("sentinel_profile_symbol_cpu_ns_total",
-             "Attributed CPU time per class symbol (dispatch + rules),"
-             " nanoseconds",
-             "counter");
-    w.Family("sentinel_profile_symbol_wall_ns_total",
-             "Attributed wall time per class symbol (dispatch + rules),"
-             " nanoseconds",
-             "counter");
-    for (const SymbolSnapshot& sym : symbols) {
-      const PromWriter::Labels labels = {{"symbol", sym.symbol}};
-      w.Sample("sentinel_profile_symbol_events_total", labels,
-               sym.events.invocations);
-      w.Sample("sentinel_profile_symbol_cpu_ns_total", labels,
-               sym.events.cpu_ns + sym.rules.cpu_ns);
-      w.Sample("sentinel_profile_symbol_wall_ns_total", labels,
-               sym.events.wall_ns + sym.rules.wall_ns);
-    }
+  s.OpenList("symbols");
+  for (const SymbolSnapshot& sym : SymbolSnapshots()) {
+    const MetricSink::Labels labels = {{"symbol", sym.symbol}};
+    s.OpenItem();
+    s.Info("symbol", sym.symbol);
+    s.Counter({"sentinel_profile_symbol_events_total",
+               "Primitive event dispatches per interned class symbol",
+               "events", labels},
+              sym.events.invocations);
+    s.Counter({"sentinel_profile_symbol_cpu_ns_total",
+               "Attributed CPU time per class symbol (dispatch + rules),"
+               " nanoseconds",
+               "cpu_ns", labels},
+              sym.events.cpu_ns + sym.rules.cpu_ns);
+    s.Counter({"sentinel_profile_symbol_wall_ns_total",
+               "Attributed wall time per class symbol (dispatch + rules),"
+               " nanoseconds",
+               "wall_ns", labels},
+              sym.events.wall_ns + sym.rules.wall_ns);
+    s.Close();
   }
+  s.Close();
 
-  w.Family("sentinel_profile_seam_wall_ns_total",
-           "Process-level seam wall time (commit barrier, GED forward),"
-           " nanoseconds",
-           "counter");
+  s.Open("seam_wall_ns");
   for (int i = 0; i < kGlobalSeams; ++i) {
-    w.Sample("sentinel_profile_seam_wall_ns_total",
-             {{"seam", GlobalSeamName(static_cast<GlobalSeam>(i))}},
-             GlobalSnapshot(static_cast<GlobalSeam>(i)).wall_ns);
+    const char* seam = GlobalSeamName(static_cast<GlobalSeam>(i));
+    s.Counter({"sentinel_profile_seam_wall_ns_total",
+               "Process-level seam wall time (commit barrier, GED forward),"
+               " nanoseconds",
+               seam, {{"seam", seam}}},
+              GlobalSnapshot(static_cast<GlobalSeam>(i)).wall_ns);
   }
+  s.Close();
 
-  const auto sites = TopContended(16);
-  if (!sites.empty()) {
-    w.Family("sentinel_profile_contention_acquisitions_total",
-             "Profiled lock acquisitions per contention site", "counter");
-    w.Family("sentinel_profile_contention_contended_total",
-             "Acquisitions that blocked, per contention site", "counter");
-    w.Family("sentinel_profile_contention_wait_ns_total",
-             "Summed blocked wait time per contention site, nanoseconds",
-             "counter");
-    for (const ContentionSnapshot& site : sites) {
-      const PromWriter::Labels labels = {{"site", site.site}};
-      w.Sample("sentinel_profile_contention_acquisitions_total", labels,
-               site.acquisitions);
-      w.Sample("sentinel_profile_contention_contended_total", labels,
-               site.contended);
-      w.Sample("sentinel_profile_contention_wait_ns_total", labels,
-               site.wait_ns);
-    }
+  s.OpenList("contention");
+  for (const ContentionSnapshot& site : TopContended(16)) {
+    const MetricSink::Labels labels = {{"site", site.site}};
+    s.OpenItem();
+    s.Info("site", site.site);
+    s.Counter({"sentinel_profile_contention_acquisitions_total",
+               "Profiled lock acquisitions per contention site",
+               "acquisitions", labels},
+              site.acquisitions);
+    s.Counter({"sentinel_profile_contention_contended_total",
+               "Acquisitions that blocked, per contention site", "contended",
+               labels},
+              site.contended);
+    s.Counter({"sentinel_profile_contention_wait_ns_total",
+               "Summed blocked wait time per contention site, nanoseconds",
+               "wait_ns", labels},
+              site.wait_ns);
+    s.Close();
   }
+  s.Close();
 }
 
 }  // namespace sentinel::obs

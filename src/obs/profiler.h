@@ -20,7 +20,7 @@
 
 namespace sentinel::obs {
 
-class PromWriter;
+class MetricSink;
 
 /// Continuous profiling plane (DESIGN.md §15). Opt-in (off by default) and
 /// always cheap when off: every feed is gated on one relaxed load of the
@@ -309,8 +309,9 @@ class Profiler {
   /// tools/shard_plan.py — see DESIGN.md §15 for the schema).
   std::string ProfileJson() const;
 
-  /// Appends the sentinel_profile_* families to a /metrics exposition.
-  void WritePrometheus(PromWriter& w) const;
+  /// The sentinel_profile_* rows (mode, duration and seams always; the
+  /// per-rule, per-node, per-symbol and contention rows once recorded).
+  void WriteMetrics(MetricSink& s) const;
 
  private:
   struct RuleCost {
@@ -331,6 +332,7 @@ class Profiler {
   void StartSamplerLocked();
   void StopSamplerLocked();
 
+  std::uint64_t id_ = 0;  // unique for the process lifetime (see .cc)
   std::atomic<Mode> mode_{Mode::kOff};
   std::mutex lifecycle_mu_;
   std::atomic<std::uint64_t> enabled_since_ns_{0};

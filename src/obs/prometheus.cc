@@ -1,20 +1,8 @@
 #include "obs/prometheus.h"
 
-#include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 
 namespace sentinel::obs {
-
-namespace {
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string PromWriter::EscapeLabelValue(const std::string& value) {
   std::string out;
@@ -37,79 +25,65 @@ std::string PromWriter::EscapeLabelValue(const std::string& value) {
   return out;
 }
 
-std::string PromWriter::RenderLabels(const Labels& labels) {
-  if (labels.empty()) return "";
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : labels) {
-    if (!first) out += ',';
-    first = false;
-    out += key;
-    out += "=\"";
-    out += EscapeLabelValue(value);
-    out += '"';
+namespace {
+
+/// Appends the sample line `name{k="v",...} value`.
+void Sample(std::string* lines, std::string_view name,
+            const MetricSink::Labels& labels, const std::string& value) {
+  *lines += name;
+  char separator = '{';
+  for (const auto& [key, label] : labels) {
+    *lines += separator + key + "=\"" + PromWriter::EscapeLabelValue(label);
+    *lines += '"';
+    separator = ',';
   }
-  out += '}';
-  return out;
+  if (!labels.empty()) *lines += '}';
+  *lines += " " + value + "\n";
 }
 
-void PromWriter::Header(const std::string& name, const std::string& help,
-                        const char* type) {
-  if (std::find(declared_.begin(), declared_.end(), name) != declared_.end()) {
-    return;
+}  // namespace
+
+std::string* PromWriter::Lines(const Row& row, const char* type) {
+  if (row.family.empty()) return nullptr;
+  std::string name(row.family);
+  auto [it, inserted] = index_.try_emplace(name, families_.size());
+  if (!inserted) return &families_[it->second];
+  std::string& lines = families_.emplace_back();
+  lines += "# HELP " + name + " ";
+  lines += row.help;
+  lines += "\n# TYPE " + name + " " + type + "\n";
+  return &lines;
+}
+
+void PromWriter::Scalar(const Row& row, const char* type,
+                        const std::string& value) {
+  if (std::string* lines = Lines(row, type)) {
+    Sample(lines, row.family, row.labels, value);
   }
-  declared_.push_back(name);
-  out_ += "# HELP " + name + " " + help + "\n";
-  out_ += "# TYPE " + name + " ";
-  out_ += type;
-  out_ += '\n';
 }
 
-PromWriter& PromWriter::Family(const std::string& name, const std::string& help,
-                               const char* type) {
-  Header(name, help, type);
-  return *this;
+void PromWriter::Counter(const Row& row, std::uint64_t value) {
+  Scalar(row, "counter", std::to_string(value));
 }
-
-PromWriter& PromWriter::Sample(const std::string& name, const Labels& labels,
-                               std::uint64_t value) {
-  out_ += name + RenderLabels(labels) + " " + std::to_string(value) + "\n";
-  return *this;
+void PromWriter::Gauge(const Row& row, std::uint64_t value) {
+  Scalar(row, "gauge", std::to_string(value));
 }
-
-PromWriter& PromWriter::SampleF(const std::string& name, const Labels& labels,
-                                double value) {
-  out_ += name + RenderLabels(labels) + " " + FormatDouble(value) + "\n";
-  return *this;
+void PromWriter::GaugeF(const Row& row, double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  Scalar(row, "gauge", buf);
 }
+void PromWriter::Flag(const Row& row, bool value) { Gauge(row, value ? 1 : 0); }
 
-PromWriter& PromWriter::Counter(const std::string& name,
-                                const std::string& help, const Labels& labels,
-                                std::uint64_t value) {
-  Header(name, help, "counter");
-  return Sample(name, labels, value);
-}
-
-PromWriter& PromWriter::Gauge(const std::string& name, const std::string& help,
-                              const Labels& labels, std::uint64_t value) {
-  Header(name, help, "gauge");
-  return Sample(name, labels, value);
-}
-
-PromWriter& PromWriter::GaugeF(const std::string& name, const std::string& help,
-                               const Labels& labels, double value) {
-  Header(name, help, "gauge");
-  return SampleF(name, labels, value);
-}
-
-PromWriter& PromWriter::Histogram(const std::string& name,
-                                  const std::string& help, const Labels& labels,
-                                  const LatencyHistogram::Snapshot& snap) {
-  Header(name, help, "histogram");
+void PromWriter::Histogram(const Row& row,
+                           const LatencyHistogram::Snapshot& snap) {
+  std::string* lines = Lines(row, "histogram");
+  if (lines == nullptr) return;
+  const std::string name(row.family);
   int last = LatencyHistogram::kBuckets - 1;
   while (last >= 0 && snap.buckets[last] == 0) --last;
   std::uint64_t cumulative = 0;
-  Labels bucket_labels = labels;
+  Labels bucket_labels = row.labels;
   bucket_labels.emplace_back("le", "");
   for (int i = 0; i <= last; ++i) {
     cumulative += snap.buckets[i];
@@ -117,13 +91,25 @@ PromWriter& PromWriter::Histogram(const std::string& name,
     const std::uint64_t bound =
         i >= 63 ? ~0ull : ((std::uint64_t{1} << i) - 1);
     bucket_labels.back().second = std::to_string(bound);
-    Sample(name + "_bucket", bucket_labels, cumulative);
+    Sample(lines, name + "_bucket", bucket_labels, std::to_string(cumulative));
   }
   bucket_labels.back().second = "+Inf";
-  Sample(name + "_bucket", bucket_labels, snap.count);
-  Sample(name + "_sum", labels, snap.sum_ns);
-  Sample(name + "_count", labels, snap.count);
-  return *this;
+  Sample(lines, name + "_bucket", bucket_labels, std::to_string(snap.count));
+  Sample(lines, name + "_sum", row.labels, std::to_string(snap.sum_ns));
+  Sample(lines, name + "_count", row.labels, std::to_string(snap.count));
+}
+
+std::string PromWriter::str() const {
+  std::string out;
+  for (const std::string& lines : families_) out += lines;
+  return out;
+}
+
+std::string PromWriter::Take() {
+  std::string out = str();
+  families_.clear();
+  index_.clear();
+  return out;
 }
 
 }  // namespace sentinel::obs

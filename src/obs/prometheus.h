@@ -3,18 +3,21 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
-#include "obs/metrics.h"
+#include "obs/metric_sink.h"
 
 namespace sentinel::obs {
 
-/// Streaming writer for the Prometheus text exposition format (version
+/// MetricSink that renders the Prometheus text exposition format (version
 /// 0.0.4): `# HELP` / `# TYPE` headers followed by `name{labels} value`
-/// sample lines. Families are declared once via Counter/Gauge/Histogram;
-/// label values are escaped per the exposition spec (backslash, double
-/// quote, newline).
+/// sample lines. Samples are buffered per family, so each family's HELP,
+/// TYPE and samples come out as one contiguous group, in first-declared
+/// order, however the caller interleaves its rows. Label values are escaped
+/// per the exposition spec (backslash, double quote, newline). Rows with an
+/// empty family (/stats-only) are skipped.
 ///
 /// Histograms map the power-of-two LatencyHistogram buckets onto cumulative
 /// `_bucket{le="..."}` lines: bucket i of the source covers
@@ -24,46 +27,44 @@ namespace sentinel::obs {
 /// cumulative and monotone while dropping dozens of all-zero lines per
 /// histogram. Values are nanoseconds; families carry the `_ns` suffix to
 /// make the unit explicit.
-class PromWriter {
+class PromWriter final : public MetricSink {
  public:
-  using Labels = std::vector<std::pair<std::string, std::string>>;
+  void Counter(const Row& row, std::uint64_t value) override;
+  void Gauge(const Row& row, std::uint64_t value) override;
+  void GaugeF(const Row& row, double value) override;
+  void Flag(const Row& row, bool value) override;
+  void Histogram(const Row& row,
+                 const LatencyHistogram::Snapshot& snap) override;
 
-  /// Declares a family; emits HELP/TYPE once per (name, type).
-  PromWriter& Family(const std::string& name, const std::string& help,
-                     const char* type);
-
-  PromWriter& Sample(const std::string& name, const Labels& labels,
-                     std::uint64_t value);
-  PromWriter& SampleF(const std::string& name, const Labels& labels,
-                      double value);
-
-  /// Counter family + single sample helper.
-  PromWriter& Counter(const std::string& name, const std::string& help,
-                      const Labels& labels, std::uint64_t value);
-  PromWriter& Gauge(const std::string& name, const std::string& help,
-                    const Labels& labels, std::uint64_t value);
-  PromWriter& GaugeF(const std::string& name, const std::string& help,
-                     const Labels& labels, double value);
-
-  /// Declares `name` as a histogram family (call once) and emits the
-  /// `_bucket`/`_sum`/`_count` series for one labelled snapshot.
-  PromWriter& Histogram(const std::string& name, const std::string& help,
-                        const Labels& labels,
-                        const LatencyHistogram::Snapshot& snap);
+  /// One-sample shorthands for a row with no JSON key.
+  void Counter(std::string_view name, std::string_view help,
+               const Labels& labels, std::uint64_t value) {
+    Counter(Row{name, help, {}, labels}, value);
+  }
+  void Gauge(std::string_view name, std::string_view help,
+             const Labels& labels, std::uint64_t value) {
+    Gauge(Row{name, help, {}, labels}, value);
+  }
+  void Histogram(std::string_view name, std::string_view help,
+                 const Labels& labels,
+                 const LatencyHistogram::Snapshot& snap) {
+    Histogram(Row{name, help, {}, labels}, snap);
+  }
 
   static std::string EscapeLabelValue(const std::string& value);
-  /// Renders `{k="v",...}` (empty string for no labels).
-  static std::string RenderLabels(const Labels& labels);
 
-  const std::string& str() const { return out_; }
-  std::string Take() { return std::move(out_); }
+  /// The exposition so far, one group per family.
+  std::string str() const;
+  std::string Take();
 
  private:
-  void Header(const std::string& name, const std::string& help,
-              const char* type);
+  /// The text of `row.family` (HELP and TYPE written on first use), or
+  /// nullptr for a /stats-only row.
+  std::string* Lines(const Row& row, const char* type);
+  void Scalar(const Row& row, const char* type, const std::string& value);
 
-  std::string out_;
-  std::vector<std::string> declared_;
+  std::vector<std::string> families_;  // in first-declared order
+  std::unordered_map<std::string, std::size_t> index_;
 };
 
 }  // namespace sentinel::obs

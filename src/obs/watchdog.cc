@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "obs/json.h"
+#include "obs/metric_sink.h"
 
 namespace sentinel::obs {
 
@@ -263,6 +264,31 @@ void Watchdog::Evaluate(const MonitorSample& sample) {
     postmortems_.fetch_add(1, std::memory_order_relaxed);
     fire_hook(fire_reason);
   }
+}
+
+void Watchdog::WriteMetrics(MetricSink& s) const {
+  s.Gauge({"sentinel_health_state",
+           "0 = healthy, 1 = degraded, 2 = unhealthy.", "health_state"},
+          static_cast<std::uint64_t>(health()));
+  s.Counter({"sentinel_watchdog_ticks_total", "Watchdog sampler ticks.",
+             "ticks"},
+            ticks());
+  s.Counter({"sentinel_watchdog_transitions_total",
+             "Upward health transitions.", "transitions"},
+            transitions());
+  s.Counter({"sentinel_watchdog_postmortems_total",
+             "Automatic postmortems the watchdog triggered.", "postmortems"},
+            postmortems_triggered());
+  const Rates r = rates();
+  s.GaugeF({"sentinel_rate_events_per_sec",
+            "Notification rate over the watchdog window.", "events_per_sec"},
+           r.events_per_sec);
+  s.GaugeF({"sentinel_rate_firings_per_sec",
+            "Rule firing rate over the watchdog window.", "firings_per_sec"},
+           r.firings_per_sec);
+  s.GaugeF({"sentinel_rate_aborts_per_sec",
+            "ABORT_TOP rate over the watchdog window.", "aborts_per_sec"},
+           r.aborts_per_sec);
 }
 
 Watchdog::Rates Watchdog::rates() const {

@@ -17,6 +17,8 @@
 
 namespace sentinel::obs {
 
+class MetricSink;
+
 /// One instantaneous reading of the pipeline, taken by the watchdog's
 /// sampler thread. Counters are cumulative (delta-since-baseline semantics:
 /// the watchdog never resets a source counter — it subtracts ring entries);
@@ -171,6 +173,9 @@ class Watchdog {
   std::uint64_t postmortems_triggered() const {
     return postmortems_.load(std::memory_order_relaxed);
   }
+
+  /// Health verdict, sampler counters and windowed rates as metric rows.
+  void WriteMetrics(MetricSink& s) const;
 
   /// Test hook: feeds one synthetic reading through the same evaluation
   /// path the sampler thread uses. `sample.at_ns` orders the ring.

@@ -1,6 +1,7 @@
 #include "rules/rule_manager.h"
 
 #include "common/logging.h"
+#include "obs/metric_sink.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 
@@ -231,6 +232,40 @@ std::vector<std::string> RuleManager::RuleNames() const {
     names.push_back(name);
   }
   return names;
+}
+
+void RuleManager::WriteMetrics(obs::MetricSink& s) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [name, rule] : rules_) {
+    const obs::RuleMetrics& m = rule->metrics();
+    const obs::MetricSink::Labels labels = {{"rule", name}};
+    s.OpenItem();
+    s.Info("name", name);
+    s.Info("event", rule->declared_event());
+    s.Info("coupling", CouplingModeToString(rule->coupling()));
+    s.Counter({"sentinel_rule_fired_total", "Firings per rule.", "fired",
+               {{"rule", name}, {"event", rule->declared_event()}}},
+              rule->fired_count());
+    s.Histogram({"sentinel_rule_condition_ns",
+                 "Condition evaluation latency (ns).", "condition_ns", labels},
+                m.condition_ns.TakeSnapshot());
+    s.Histogram({"sentinel_rule_action_ns", "Action execution latency (ns).",
+                 "action_ns", labels},
+                m.action_ns.TakeSnapshot());
+    s.Histogram({"sentinel_rule_commit_ns",
+                 "Rule subtransaction commit latency (ns).", "commit_ns",
+                 labels},
+                m.commit_ns.TakeSnapshot());
+    s.Histogram({"sentinel_rule_abort_ns",
+                 "Rule subtransaction abort latency (ns).", "abort_ns", labels},
+                m.abort_ns.TakeSnapshot());
+    s.Histogram({"sentinel_rule_lock_wait_ns",
+                 "Time the rule's subtransaction blocked on nested locks "
+                 "(ns).",
+                 "lock_wait_ns", labels},
+                m.lock_wait_ns.TakeSnapshot());
+    s.Close();
+  }
 }
 
 std::size_t RuleManager::rule_count() const {

@@ -87,6 +87,10 @@ class RuleManager {
   std::vector<std::string> RuleNames() const;
   std::size_t rule_count() const;
 
+  /// One list item per rule: firing count and the per-rule latency
+  /// histograms (condition, action, subtransaction commit/abort, lock wait).
+  void WriteMetrics(obs::MetricSink& s) const;
+
   /// Named, totally ordered priority classes (paper §3.1): rules may be
   /// assigned by class name instead of raw number.
   Status DefinePriorityClass(const std::string& class_name, int rank);

@@ -6,6 +6,7 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "detector/local_detector.h"
+#include "obs/metric_sink.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
 #include "obs/trace.h"
@@ -93,7 +94,6 @@ void RuleScheduler::EnqueueBatch(std::vector<Firing> firings) {
   std::lock_guard<std::mutex> lock(mu_);
   for (Firing& firing : firings) pending_.push_back(std::move(firing));
   pending_count_.store(pending_.size(), std::memory_order_release);
-  batch_enqueues_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void RuleScheduler::EnqueueDetached(Firing firing) {
@@ -487,6 +487,34 @@ void RuleScheduler::WaitDetached() {
   detached_cv_.wait(lock, [this] {
     return detached_pending_.empty() && detached_busy_ == 0;
   });
+}
+
+void RuleScheduler::WriteMetrics(obs::MetricSink& s) const {
+  s.Gauge({{}, {}, "policy"}, static_cast<std::uint64_t>(policy()));
+  s.Info("contingency", ContingencyPolicyToString(contingency()));
+  s.Counter({"sentinel_rules_executed_total",
+             "Rule firings that ran to completion.", "executed"},
+            executed_count());
+  s.Counter({"sentinel_rules_condition_rejections_total",
+             "Firings whose condition did not hold.", "condition_rejections"},
+            condition_rejections());
+  s.Counter({"sentinel_rules_failed_total",
+             "Contained rule failures (subtransaction rolled back).", "failed"},
+            failed_count());
+  s.Counter({"sentinel_rules_abort_top_total",
+             "ABORT_TOP contingencies: rule failures that doomed the "
+             "top-level transaction.",
+             "abort_top"},
+            abort_top_count());
+  s.Gauge({"sentinel_scheduler_pending",
+           "Prioritized firings awaiting execution.", "pending"},
+          pending_count());
+  s.Gauge({"sentinel_scheduler_detached_pending",
+           "Detached firings queued or executing.", "detached_pending"},
+          detached_pending_count());
+  s.Gauge({"sentinel_scheduler_max_depth",
+           "Deepest cascaded-rule nesting observed.", "max_depth"},
+          static_cast<std::uint64_t>(max_depth_seen()));
 }
 
 }  // namespace sentinel::rules

@@ -14,6 +14,7 @@
 #include "rules/thread_pool.h"
 
 namespace sentinel::obs {
+class MetricSink;
 class Profiler;
 class ProvenanceTracer;
 class SpanTracer;
@@ -150,11 +151,6 @@ class RuleScheduler {
   std::size_t detached_pending_count() const {
     return detached_count_.load(std::memory_order_acquire);
   }
-  /// EnqueueBatch calls (BatchScope flushes included) — each one replaced
-  /// buffered.size() individual lock round-trips with one.
-  std::uint64_t batch_enqueues() const {
-    return batch_enqueues_.load(std::memory_order_relaxed);
-  }
   std::uint64_t condition_rejections() const { return rejected_; }
   /// Firings whose condition/action threw or whose subtransaction failed.
   /// Failures are contained: the rule's subtransaction is aborted and the
@@ -163,6 +159,8 @@ class RuleScheduler {
   /// Times the kAbortTop contingency aborted a triggering transaction.
   std::uint64_t abort_top_count() const { return abort_top_; }
   int max_depth_seen() const { return max_depth_; }
+  /// Firing counters and queue-depth gauges, plus the policy knobs.
+  void WriteMetrics(obs::MetricSink& s) const;
   // Policy knobs are atomics: the shell (or any admin surface) may flip them
   // while worker threads are popping batches and executing firings.
   SchedulingPolicy policy() const {
@@ -251,7 +249,6 @@ class RuleScheduler {
   std::thread detached_worker_;
 
   std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> batch_enqueues_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> abort_top_{0};

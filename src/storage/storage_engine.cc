@@ -1,6 +1,7 @@
 #include "storage/storage_engine.h"
 
 #include "common/logging.h"
+#include "obs/metric_sink.h"
 #include "storage/recovery.h"
 
 namespace sentinel::storage {
@@ -393,6 +394,90 @@ Status StorageEngine::UndoTxn(TxnId txn) {
     SENTINEL_RETURN_NOT_OK(heap.SetPageLsn(rec.rid.page_id, *lsn));
   }
   return Status::OK();
+}
+
+void StorageEngine::WriteMetrics(obs::MetricSink& s) const {
+  s.Open("buffer_pool");
+  s.Counter({"sentinel_buffer_pool_hits_total", "Buffer-pool page hits.",
+             "hits"},
+            pool_->hit_count());
+  s.Counter({"sentinel_buffer_pool_misses_total", "Buffer-pool page misses.",
+             "misses"},
+            pool_->miss_count());
+  s.Counter({"sentinel_buffer_pool_evictions_total",
+             "Pages evicted from the buffer pool.", "evictions"},
+            pool_->eviction_count());
+  s.Gauge({"sentinel_buffer_pool_resident", "Resident buffer-pool pages.",
+           "resident"},
+          pool_->resident_count());
+  s.Gauge({"sentinel_buffer_pool_dirty", "Dirty buffer-pool pages.", "dirty"},
+          pool_->dirty_count());
+  s.Gauge({"sentinel_buffer_pool_capacity", "Buffer-pool frame capacity.",
+           "capacity"},
+          pool_->capacity());
+  s.Close();
+
+  s.Open("wal");
+  s.Counter({"sentinel_wal_syncs_total", "WAL fsync batches.", "sync_count"},
+            log_->sync_count());
+  s.Counter({"sentinel_wal_truncated_bytes_total",
+             "Bytes of torn tail discarded during WAL recovery.",
+             "truncated_bytes"},
+            log_->truncated_bytes());
+  s.Flag({"sentinel_wal_wedged",
+          "1 when the WAL refused further appends after a torn write or "
+          "failed fsync barrier.",
+          "wedged"},
+         log_->wedged());
+  s.Gauge({"sentinel_wal_appended_lsn",
+           "Highest LSN fully written to the WAL buffer.", "appended_lsn"},
+          log_->appended_lsn());
+  s.Gauge({"sentinel_wal_durable_lsn",
+           "Highest LSN covered by a completed fsync barrier.", "durable_lsn"},
+          log_->durable_lsn());
+  s.Counter({"sentinel_wal_group_commit_waits_total",
+             "Commits that waited on (or piggybacked on) a group-commit "
+             "barrier.",
+             "group_commit_waits"},
+            log_->group_commit_waits());
+  s.Counter({"sentinel_wal_async_commits_total",
+             "Commits acknowledged on WAL-buffer write (async durability).",
+             "async_commits"},
+            log_->async_commits());
+  s.Histogram({"sentinel_wal_fsync_ns", "WAL fsync latency (ns).", "fsync_ns"},
+              log_->fsync_histogram().TakeSnapshot());
+  s.Close();
+
+  s.Open("disk");
+  s.Counter({"sentinel_disk_syncs_total", "Data-file fsyncs.", "sync_count"},
+            disk_->sync_count());
+  s.Counter({"sentinel_disk_io_retries_total",
+             "Short read/write retries against the data file.", "io_retries"},
+            disk_->io_retries());
+  s.Gauge({"sentinel_disk_pages", "Pages in the data file.", "pages"},
+          disk_->page_count());
+  s.Histogram({"sentinel_disk_fsync_ns", "Data-file fsync latency (ns).",
+               "fsync_ns"},
+              disk_->fsync_histogram().TakeSnapshot());
+  s.Close();
+
+  s.Open("lock_manager");
+  s.Counter({"sentinel_lock_waits_total", "Lock requests that had to block.",
+             "waits"},
+            lock_manager_->wait_count());
+  s.Counter({"sentinel_lock_deadlocks_total",
+             "Deadlocks broken by victim selection.", "deadlocks"},
+            lock_manager_->deadlock_count());
+  s.Counter({"sentinel_lock_timeouts_total", "Lock waits that timed out.",
+             "timeouts"},
+            lock_manager_->timeout_count());
+  s.Gauge({"sentinel_lock_waiters",
+           "Transactions currently blocked in the lock table.", "waiters"},
+          lock_manager_->waiting_count());
+  s.Histogram({"sentinel_lock_wait_ns", "Storage lock wait latency (ns).",
+               "wait_ns"},
+              lock_manager_->wait_histogram().TakeSnapshot());
+  s.Close();
 }
 
 }  // namespace sentinel::storage

@@ -16,6 +16,10 @@
 #include "storage/lock_manager.h"
 #include "storage/wal.h"
 
+namespace sentinel::obs {
+class MetricSink;
+}  // namespace sentinel::obs
+
 namespace sentinel::storage {
 
 /// The Exodus substitute: a transactional record store providing top-level
@@ -106,6 +110,9 @@ class StorageEngine {
   BufferPool* buffer_pool() { return pool_.get(); }
   LogManager* log_manager() { return log_.get(); }
   DiskManager* disk_manager() { return disk_.get(); }
+
+  /// Buffer-pool, WAL, data-file and lock-table rows, one group each.
+  void WriteMetrics(obs::MetricSink& s) const;
 
   /// True if the previous session closed cleanly (flush + marker). When
   /// false, non-WAL-logged auxiliary structures (the OID index) must be

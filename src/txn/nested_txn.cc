@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/failpoint.h"
+#include "obs/metric_sink.h"
 #include "obs/span.h"
 
 namespace sentinel::txn {
@@ -310,6 +311,18 @@ std::size_t NestedTransactionManager::waiting_count() const {
     n += static_cast<std::size_t>(state->waiters);
   }
   return n;
+}
+
+void NestedTransactionManager::WriteMetrics(obs::MetricSink& s) const {
+  s.Gauge({"sentinel_subtxns_active", "Rule subtransactions in flight.",
+           "active_subtxns"},
+          active_count());
+  s.Gauge({"sentinel_nested_locked_keys", "Keys held in the nested lock table.",
+           "locked_keys"},
+          locked_key_count());
+  s.Gauge({"sentinel_nested_waiters", "Threads blocked acquiring nested locks.",
+           "waiters"},
+          waiting_count());
 }
 
 std::size_t NestedTransactionManager::locked_key_count() const {

@@ -17,6 +17,7 @@
 #include "storage/lock_manager.h"
 
 namespace sentinel::obs {
+class MetricSink;
 class SpanTracer;
 }  // namespace sentinel::obs
 
@@ -78,6 +79,8 @@ class NestedTransactionManager {
   /// Threads currently blocked inside Acquire across the whole nested lock
   /// table (monitoring-plane gauge).
   std::size_t waiting_count() const;
+  /// The three gauges above as metric rows.
+  void WriteMetrics(obs::MetricSink& s) const;
 
   /// Nanoseconds `sub` has spent blocked in Acquire so far (latency
   /// accounting for the rule metrics; harvested before commit/abort).

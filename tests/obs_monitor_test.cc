@@ -12,9 +12,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -598,6 +601,243 @@ TEST(ObsMonitorE2ETest, EnvVarAutoStartsMonitoring) {
   }
   ::unsetenv("SENTINEL_MONITOR_PORT");
   ::unsetenv("SENTINEL_WATCHDOG_MS");
+}
+
+// ---------------------------------------------------------------------------
+// Both renderers of ActiveDatabase::WriteMetrics
+// ---------------------------------------------------------------------------
+
+// Exposition format 0.0.4 wants each family as one group: HELP, TYPE and
+// every sample together. Two rules, one node subscribed in two contexts and
+// the profiler on give every per-rule, per-node and per-account family
+// several samples to interleave.
+TEST(ObsMonitorE2ETest, EveryPrometheusFamilyIsOneGroup) {
+  ActiveDatabase db;
+  ASSERT_TRUE(db.OpenInMemory().ok());
+  db.profiler()->Start();
+  ASSERT_TRUE(db.detector()->DefineExplicit("tick").ok());
+  ASSERT_TRUE(db.rule_manager()
+                  ->DefineRule("first", "tick", nullptr,
+                               [](const rules::RuleContext&) {})
+                  .ok());
+  rules::RuleManager::RuleOptions chronicle;
+  chronicle.context = detector::ParamContext::kChronicle;
+  ASSERT_TRUE(db.rule_manager()
+                  ->DefineRule("second", "tick", nullptr,
+                               [](const rules::RuleContext&) {}, chronicle)
+                  .ok());
+  auto txn = db.Begin();
+  ASSERT_TRUE(txn.ok());
+  auto params = std::make_shared<detector::ParamList>();
+  ASSERT_TRUE(db.RaiseEvent("tick", params, *txn).ok());
+  ASSERT_TRUE(db.Commit(*txn).ok());
+
+  const std::string text = db.PrometheusText();
+  std::set<std::string> histograms;
+  {
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line)) {
+      std::istringstream words(line);
+      std::string hash, tag, name, type;
+      words >> hash >> tag >> name >> type;
+      if (tag == "TYPE" && type == "histogram") histograms.insert(name);
+    }
+  }
+  std::istringstream in(text);
+  std::string line;
+  std::string current;
+  std::set<std::string> finished;
+  int families = 0;
+  while (std::getline(in, line)) {
+    std::string family;
+    if (line.rfind("# ", 0) == 0) {
+      std::istringstream words(line);
+      std::string hash, tag;
+      words >> hash >> tag >> family;
+    } else {
+      family = line.substr(0, line.find_first_of("{ "));
+      for (const char* suffix : {"_bucket", "_sum", "_count"}) {
+        const std::size_t n = std::strlen(suffix);
+        if (family.size() > n &&
+            family.compare(family.size() - n, n, suffix) == 0 &&
+            histograms.count(family.substr(0, family.size() - n)) > 0) {
+          family.resize(family.size() - n);
+        }
+      }
+    }
+    if (family == current) continue;
+    EXPECT_EQ(finished.count(family), 0u)
+        << family << " resumes after " << current;
+    if (!current.empty()) finished.insert(current);
+    current = family;
+    ++families;
+  }
+  EXPECT_GE(families, 30);
+  EXPECT_NE(text.find("sentinel_profile_rule_wall_ns_total{rule=\"second\""),
+            std::string::npos);
+  EXPECT_NE(text.find("context=\"CHRONICLE\""), std::string::npos);
+  db.profiler()->Stop();
+  ASSERT_TRUE(db.Close().ok());
+}
+
+/// Appends the key paths below `path` of the JSON value at `json[*i]`:
+/// `a.b` for object members, `a[].b` inside arrays. Values are skipped.
+void CollectJsonPaths(const std::string& json, std::size_t* i,
+                      const std::string& path, std::set<std::string>* out) {
+  auto peek = [&]() -> char {
+    while (*i < json.size() &&
+           std::isspace(static_cast<unsigned char>(json[*i]))) {
+      ++*i;
+    }
+    return *i < json.size() ? json[*i] : '\0';
+  };
+  auto string = [&]() {
+    std::string s;
+    for (++*i; *i < json.size() && json[*i] != '"'; ++*i) {
+      if (json[*i] == '\\') ++*i;
+      if (*i < json.size()) s += json[*i];
+    }
+    ++*i;
+    return s;
+  };
+  const char c = peek();
+  if (c == '{' || c == '[') {
+    ++*i;
+    const char end = c == '{' ? '}' : ']';
+    while (peek() != end && peek() != '\0') {
+      std::string child = path + "[]";
+      if (c == '{') {
+        const std::string key = string();
+        child = path.empty() ? key : path + "." + key;
+        out->insert(child);
+        if (peek() == ':') ++*i;
+      }
+      CollectJsonPaths(json, i, child, out);
+      if (peek() == ',') ++*i;
+    }
+    ++*i;
+  } else if (c == '"') {
+    string();
+  } else {
+    while (*i < json.size() && json[*i] != ',' && json[*i] != '}' &&
+           json[*i] != ']') {
+      ++*i;
+    }
+  }
+}
+
+std::set<std::string> JsonKeyPaths(const std::string& json) {
+  std::set<std::string> out;
+  std::size_t i = 0;
+  CollectJsonPaths(json, &i, "", &out);
+  return out;
+}
+
+// Every /stats key path a file-backed database with one rule reported
+// before /metrics and /stats became one walk; new paths may appear, none
+// may go.
+TEST(ObsMonitorE2ETest, StatsJsonKeepsEveryKeyPath) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("sentinel_stats_paths_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    ActiveDatabase db;
+    ASSERT_TRUE(db.Open(dir + "/db").ok());
+    ASSERT_TRUE(db.detector()->DefineExplicit("audit_evt").ok());
+    ASSERT_TRUE(db.rule_manager()
+                    ->DefineRule("audit_rule", "audit_evt", nullptr,
+                                 [](const rules::RuleContext&) {})
+                    .ok());
+    auto txn = db.Begin();
+    ASSERT_TRUE(txn.ok());
+    auto params = std::make_shared<detector::ParamList>();
+    ASSERT_TRUE(db.RaiseEvent("audit_evt", params, *txn).ok());
+    ASSERT_TRUE(db.Commit(*txn).ok());
+
+    const std::set<std::string> paths = JsonKeyPaths(db.StatsJson());
+    static const char* const kPaths[] = {
+        "detector", "detector.buffered", "detector.events",
+        "detector.events[].buffered", "detector.events[].contexts",
+        "detector.events[].contexts.RECENT",
+        "detector.events[].contexts.RECENT.detected",
+        "detector.events[].contexts.RECENT.received",
+        "detector.events[].contexts.RECENT.refs", "detector.events[].detected",
+        "detector.events[].flushed", "detector.events[].kind",
+        "detector.events[].name", "detector.events[].received",
+        "detector.events[].sinks", "detector.node_count",
+        "detector.notify_count", "nested_txn", "nested_txn.active_subtxns",
+        "nested_txn.locked_keys", "rules", "rules[].abort_ns",
+        "rules[].abort_ns.buckets", "rules[].abort_ns.count",
+        "rules[].abort_ns.max_ns", "rules[].abort_ns.mean_ns",
+        "rules[].abort_ns.p50_ns", "rules[].abort_ns.p90_ns",
+        "rules[].abort_ns.p99_ns", "rules[].abort_ns.sum_ns",
+        "rules[].action_ns", "rules[].action_ns.buckets",
+        "rules[].action_ns.count", "rules[].action_ns.max_ns",
+        "rules[].action_ns.mean_ns", "rules[].action_ns.p50_ns",
+        "rules[].action_ns.p90_ns", "rules[].action_ns.p99_ns",
+        "rules[].action_ns.sum_ns", "rules[].commit_ns",
+        "rules[].commit_ns.buckets", "rules[].commit_ns.count",
+        "rules[].commit_ns.max_ns", "rules[].commit_ns.mean_ns",
+        "rules[].commit_ns.p50_ns", "rules[].commit_ns.p90_ns",
+        "rules[].commit_ns.p99_ns", "rules[].commit_ns.sum_ns",
+        "rules[].condition_ns", "rules[].condition_ns.buckets",
+        "rules[].condition_ns.count", "rules[].condition_ns.max_ns",
+        "rules[].condition_ns.mean_ns", "rules[].condition_ns.p50_ns",
+        "rules[].condition_ns.p90_ns", "rules[].condition_ns.p99_ns",
+        "rules[].condition_ns.sum_ns", "rules[].coupling", "rules[].event",
+        "rules[].fired", "rules[].lock_wait_ns", "rules[].lock_wait_ns.buckets",
+        "rules[].lock_wait_ns.count", "rules[].lock_wait_ns.max_ns",
+        "rules[].lock_wait_ns.mean_ns", "rules[].lock_wait_ns.p50_ns",
+        "rules[].lock_wait_ns.p90_ns", "rules[].lock_wait_ns.p99_ns",
+        "rules[].lock_wait_ns.sum_ns", "rules[].name", "scheduler",
+        "scheduler.abort_top", "scheduler.condition_rejections",
+        "scheduler.contingency", "scheduler.executed", "scheduler.failed",
+        "scheduler.max_depth", "scheduler.policy", "span_trace",
+        "span_trace.dropped", "span_trace.flight_recorded", "span_trace.mode",
+        "span_trace.postmortems", "span_trace.recorded", "storage",
+        "storage.buffer_pool", "storage.buffer_pool.capacity",
+        "storage.buffer_pool.evictions", "storage.buffer_pool.hits",
+        "storage.buffer_pool.misses", "storage.buffer_pool.resident",
+        "storage.disk", "storage.disk.fsync_ns",
+        "storage.disk.fsync_ns.buckets", "storage.disk.fsync_ns.count",
+        "storage.disk.fsync_ns.max_ns", "storage.disk.fsync_ns.mean_ns",
+        "storage.disk.fsync_ns.p50_ns", "storage.disk.fsync_ns.p90_ns",
+        "storage.disk.fsync_ns.p99_ns", "storage.disk.fsync_ns.sum_ns",
+        "storage.disk.io_retries", "storage.disk.pages",
+        "storage.disk.sync_count", "storage.lock_manager",
+        "storage.lock_manager.deadlocks", "storage.lock_manager.timeouts",
+        "storage.lock_manager.wait_ns", "storage.lock_manager.wait_ns.buckets",
+        "storage.lock_manager.wait_ns.count",
+        "storage.lock_manager.wait_ns.max_ns",
+        "storage.lock_manager.wait_ns.mean_ns",
+        "storage.lock_manager.wait_ns.p50_ns",
+        "storage.lock_manager.wait_ns.p90_ns",
+        "storage.lock_manager.wait_ns.p99_ns",
+        "storage.lock_manager.wait_ns.sum_ns", "storage.lock_manager.waits",
+        "storage.object_cache", "storage.object_cache.hits",
+        "storage.object_cache.misses", "storage.object_cache.resident",
+        "storage.wal", "storage.wal.appended_lsn", "storage.wal.async_commits",
+        "storage.wal.durable_lsn", "storage.wal.fsync_ns",
+        "storage.wal.fsync_ns.buckets", "storage.wal.fsync_ns.count",
+        "storage.wal.fsync_ns.max_ns", "storage.wal.fsync_ns.mean_ns",
+        "storage.wal.fsync_ns.p50_ns", "storage.wal.fsync_ns.p90_ns",
+        "storage.wal.fsync_ns.p99_ns", "storage.wal.fsync_ns.sum_ns",
+        "storage.wal.group_commit_waits", "storage.wal.sync_count",
+        "storage.wal.truncated_bytes", "storage.wal.wedged", "trace",
+        "trace.capacity", "trace.dropped", "trace.enabled", "trace.recorded",
+        "trace.size",
+    };
+    for (const char* path : kPaths) {
+      EXPECT_EQ(paths.count(path), 1u) << "lost /stats key path " << path;
+    }
+    ASSERT_TRUE(db.Close().ok());
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 }  // namespace

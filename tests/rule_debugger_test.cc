@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <memory>
+#include <sstream>
 
 namespace sentinel::debug {
 namespace {
@@ -86,12 +87,48 @@ TEST_F(RuleDebuggerTest, EventGraphDotShowsStructure) {
                   ->DefineRule("r", "pair", nullptr,
                                [](const rules::RuleContext&) {})
                   .ok());
-  std::string dot = RuleDebugger::EventGraphDot(&db_);
+  std::string dot = db_.detector()->DumpGraph();
   EXPECT_NE(dot.find("digraph event_graph"), std::string::npos);
   EXPECT_NE(dot.find("\"sell\" -> \"pair\""), std::string::npos);
   EXPECT_NE(dot.find("\"price\" -> \"pair\""), std::string::npos);
   EXPECT_NE(dot.find("AND"), std::string::npos);
   EXPECT_NE(dot.find("subscriber"), std::string::npos);
+}
+
+/// True when every line of `dot` holds an even number of unescaped double
+/// quotes (no quoted identifier runs into the next token or line).
+bool QuotesBalancePerLine(const std::string& dot) {
+  std::istringstream in(dot);
+  std::string line;
+  while (std::getline(in, line)) {
+    int quotes = 0;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      if (line[i] == '\\') {
+        ++i;
+      } else if (line[i] == '"') {
+        ++quotes;
+      }
+    }
+    if (quotes % 2 != 0) return false;
+  }
+  return true;
+}
+
+TEST_F(RuleDebuggerTest, QuotedNamesStayValidDot) {
+  ASSERT_TRUE(db_.detector()->DefineExplicit("audit\"evt\\").ok());
+  ASSERT_TRUE(db_.rule_manager()
+                  ->DefineRule("audit\"rule", "audit\"evt\\", nullptr,
+                               [](const rules::RuleContext&) {})
+                  .ok());
+  auto params = std::make_shared<detector::ParamList>();
+  ASSERT_TRUE(db_.RaiseEvent("audit\"evt\\", params, 1).ok());
+
+  const std::string graph = db_.detector()->DumpGraph();
+  EXPECT_NE(graph.find("\"audit\\\"evt\\\\\""), std::string::npos) << graph;
+  EXPECT_TRUE(QuotesBalancePerLine(graph)) << graph;
+  const std::string rules = debugger_.RuleInteractionDot();
+  EXPECT_NE(rules.find("\"audit\\\"rule\""), std::string::npos) << rules;
+  EXPECT_TRUE(QuotesBalancePerLine(rules)) << rules;
 }
 
 TEST_F(RuleDebuggerTest, ClearResetsTrace) {

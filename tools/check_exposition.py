@@ -7,6 +7,8 @@ does:
   - every sample line parses as  name{labels} value ;
   - every sampled family has exactly one # HELP and one # TYPE line,
     emitted before its first sample;
+  - every family is one contiguous group: once another family's lines
+    start, the family's lines do not resume;
   - histogram _bucket series have numerically increasing le labels per
     labelset, cumulative non-decreasing values, a closing le="+Inf" bucket,
     and _count == the +Inf bucket;
@@ -53,6 +55,7 @@ def main() -> None:
     types: dict[str, str] = {}
     type_counts: dict[str, int] = defaultdict(int)
     samples = []  # (name, labels dict, raw labels str, value)
+    line_names = []  # (lineno, metric or family name) of every line
 
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -60,12 +63,14 @@ def main() -> None:
         if line.startswith("# HELP "):
             name = line.split(" ", 3)[2]
             helps[name] += 1
+            line_names.append((lineno, name))
             continue
         if line.startswith("# TYPE "):
             parts = line.split(" ")
             name, kind = parts[2], parts[3]
             type_counts[name] += 1
             types[name] = kind
+            line_names.append((lineno, name))
             continue
         if line.startswith("#"):
             continue
@@ -82,6 +87,7 @@ def main() -> None:
             if math.isnan(value):
                 fail(f"line {lineno}: NaN value in {line!r}")
         samples.append((name, labels, labels_raw or "", float(value)))
+        line_names.append((lineno, name))
 
     if not samples:
         fail("no samples found")
@@ -92,6 +98,20 @@ def main() -> None:
             if name.endswith(suffix) and name[: -len(suffix)] in types:
                 return name[: -len(suffix)]
         return name
+
+    # One group per family (exposition format 0.0.4).
+    finished = set()
+    current = None
+    for lineno, name in line_names:
+        family = family_of(name)
+        if family == current:
+            continue
+        if family in finished:
+            fail(f"line {lineno}: family {family} resumes after family "
+                 f"{current}; each family must be one contiguous group")
+        if current is not None:
+            finished.add(current)
+        current = family
 
     seen_families = set()
     for name, labels, _, value in samples:
