@@ -79,7 +79,7 @@ struct NetHarness {
     tracer.set_mode(traced ? obs::TraceMode::kFull : obs::TraceMode::kOff);
     if (traced) {
       server.set_span_tracer(&tracer);
-      ged.set_span_tracer(&tracer);
+      ged.set_instruments({.spans = &tracer});
     }
     net::EventBusServer::Options options;
     if (!server.Start(options).ok()) return;

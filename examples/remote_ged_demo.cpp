@@ -63,7 +63,7 @@ int RunDaemon(int bus_port, int monitor_port, int seconds) {
   const std::string trace_prefix = TraceExportPrefix();
   if (!trace_prefix.empty()) {
     db.span_tracer()->set_mode(sentinel::obs::TraceMode::kFull);
-    ged.set_span_tracer(db.span_tracer());
+    ged.set_instruments({.spans = db.span_tracer()});
     std::printf("[daemon] tracing to %s_daemon.json\n", trace_prefix.c_str());
   }
 

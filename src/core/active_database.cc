@@ -46,36 +46,33 @@ Status ActiveDatabase::OpenInMemory(const Options& options) {
 
 Status ActiveDatabase::OpenCommon(const Options& options) {
   span_tracer_.set_flight_recorder(&flight_recorder_);
+  const obs::Instruments ins{.spans = &span_tracer_,
+                             .profiler = &profiler_,
+                             .provenance = &tracer_};
   detector_ = std::make_unique<detector::LocalEventDetector>();
-  detector_->set_tracer(&tracer_);
-  detector_->set_span_tracer(&span_tracer_);
-  detector_->set_profiler(&profiler_);
+  detector_->set_instruments(ins);
   if (db_ != nullptr) {
     detector_->set_class_registry(db_->classes());
     cache_ = std::make_unique<oodb::ObjectCache>(db_->engine(), db_->objects(),
                                                  /*capacity=*/1024);
-    // Storage-layer spans + postmortem-on-deadlock. The deadlock hook runs
+    // Storage-layer probes + postmortem-on-deadlock. The deadlock hook runs
     // after the lock manager released its latch, so the dump may snapshot
     // the lock table safely.
     storage::StorageEngine* engine = db_->engine();
-    engine->lock_manager()->set_span_tracer(&span_tracer_);
+    engine->lock_manager()->set_instruments(ins);
+    engine->buffer_pool()->set_instruments(ins);
+    engine->log_manager()->set_instruments(ins);
     engine->lock_manager()->set_deadlock_hook(
         [this](storage::TxnId victim, const storage::LockKey& key) {
           (void)key;
           (void)DumpPostmortem("deadlock", victim);
         });
-    engine->buffer_pool()->set_span_tracer(&span_tracer_);
-    engine->log_manager()->set_span_tracer(&span_tracer_);
-    engine->lock_manager()->set_profiler(&profiler_);
-    engine->log_manager()->set_profiler(&profiler_);
   }
   nested_ = std::make_unique<txn::NestedTransactionManager>(options.nested);
-  nested_->set_span_tracer(&span_tracer_);
+  nested_->set_instruments(ins);
   scheduler_ = std::make_unique<rules::RuleScheduler>(nested_.get(), db_.get(),
                                                       options.scheduler);
-  scheduler_->set_tracer(&tracer_);
-  scheduler_->set_span_tracer(&span_tracer_);
-  scheduler_->set_profiler(&profiler_);
+  scheduler_->set_instruments(ins);
   scheduler_->set_postmortem_hook([this](storage::TxnId doomed) {
     (void)DumpPostmortem("abort_top", doomed);
   });

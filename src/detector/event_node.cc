@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/pool.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 
 namespace sentinel::detector {
@@ -25,29 +24,16 @@ std::mutex& AssignBufferStripe() {
                  kBufferStripes];
 }
 
-/// Records one operator-node Emit into the node's cost account on every
-/// exit path (Emit returns early when there are no sinks).
-struct EmitCostScope {
-  obs::Profiler::CostCell* cost = nullptr;
-  std::uint64_t cpu0 = 0;
-  std::uint64_t t0 = 0;
-  ~EmitCostScope() {
-    if (cost != nullptr) {
-      cost->Record(obs::Profiler::ThreadCpuNs() - cpu0,
-                   obs::Profiler::NowNs() - t0);
-    }
-  }
-};
-
 }  // namespace
 
 EventNode::EventNode(std::string name)
     : name_(std::move(name)), buffer_mu_(AssignBufferStripe()) {}
 
-void EventNode::set_profiler(obs::Profiler* profiler) {
-  profiler_ = profiler;
+void EventNode::set_instruments(const obs::Instruments& instruments) {
+  ins_ = instruments;
   // Only operator nodes evaluate anything or mutate buffers; primitives get
-  // the profiler pointer but no accounts.
+  // the instruments but no accounts.
+  obs::Profiler* profiler = instruments.profiler;
   if (profiler != nullptr && composite_) {
     cost_ = profiler->NodeAccount(name_);
     buffer_site_ = profiler->GetContentionSite("buffer:" + name_);
@@ -109,38 +95,36 @@ void EventNode::ReleaseContextRef(ParamContext context) {
 
 void EventNode::Emit(const Occurrence& occurrence, ParamContext context) {
   metrics_.OnDetected(context);
-  // Operator-evaluation attribution (one relaxed load when profiling is
-  // off): covers the whole downstream cascade, like the composite_detect
-  // span below.
-  EmitCostScope emit_cost;
-  if (cost_ != nullptr && profiler_->enabled()) {
-    emit_cost.cost = cost_;
-    emit_cost.cpu0 = obs::Profiler::ThreadCpuNs();
-    emit_cost.t0 = obs::Profiler::NowNs();
+  // Operator detections probe the whole cascade: parent deliveries and
+  // sink firings below happen inside the composite_detect span (so rule
+  // subtransactions parent into the detection that triggered them), and the
+  // same interval is the node's operator-evaluation cost.
+  obs::Probe probe;
+  if (composite_) {
+    probe.Start(ins_,
+                {.span = obs::SpanKind::kCompositeDetect,
+                 .txn = occurrence.txn,
+                 .cost = cost_},
+                [this] { return name_; });
   }
-  // Operator detections open a composite_detect span covering the whole
-  // cascade (parent deliveries and sink firings below happen inside it, so
-  // rule subtransactions parent into the detection that triggered them).
-  obs::SpanScope detect_span;
-  if (composite_ && span_tracer_ != nullptr &&
-      span_tracer_->enabled_for(obs::SpanKind::kCompositeDetect)) {
-    detect_span.Start(span_tracer_, obs::SpanKind::kCompositeDetect,
-                      occurrence.txn, name_);
-  }
-  const bool tracing = tracer_ != nullptr && tracer_->enabled();
+  obs::ProvenanceTracer* tracer = ins_.provenance;
+  const bool tracing = tracer != nullptr && tracer->enabled();
   // parents_ is kept sorted by descending port (AddParent), so higher ports
   // are delivered first without sorting per emission.
   for (const ParentEdge& edge : parents_) {
     if (edge.node->ActiveIn(context)) {
       edge.node->metrics().OnReceived(context);
       if (tracing) {
-        tracer_->Record(obs::EdgeKind::kComposite, name_, edge.node->name(),
-                        occurrence.txn, context);
+        tracer->Record(obs::EdgeKind::kComposite, name_, edge.node->name(),
+                       occurrence.txn, context);
       }
       edge.node->Receive(edge.port, occurrence, context);
     }
   }
-  if (sinks_.empty()) return;
+  if (sinks_.empty()) {
+    probe.End();
+    return;
+  }
   // Snapshot the sink list: a sink's OnEvent may reentrantly call
   // RemoveSink/Unsubscribe. Each delivery re-checks membership so sinks
   // removed mid-emission (including by an earlier sink) are skipped.
@@ -162,6 +146,7 @@ void EventNode::Emit(const Occurrence& occurrence, ParamContext context) {
     }
     sink->OnEvent(occurrence, context);
   }
+  probe.End();
 }
 
 PrimitiveEventNode::PrimitiveEventNode(std::string name,
@@ -194,7 +179,7 @@ void PrimitiveEventNode::Signal(
   occ.at_ms = labelled->at_ms;
   occ.txn = labelled->txn;
   occ.constituents.push_back(labelled);
-  obs::ProvenanceTracer* tracer = this->tracer();
+  obs::ProvenanceTracer* tracer = instruments().provenance;
   const bool tracing = tracer != nullptr && tracer->enabled();
   for (int c = 0; c < kNumContexts; ++c) {
     const auto context = static_cast<ParamContext>(c);

@@ -11,12 +11,7 @@
 #include "common/symbol.h"
 #include "detector/event_types.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-
-namespace sentinel::obs {
-class ProvenanceTracer;
-class SpanTracer;
-}  // namespace sentinel::obs
+#include "obs/probe.h"
 
 namespace sentinel::detector {
 
@@ -115,25 +110,13 @@ class EventNode {
   /// delivery paths with relaxed atomics; read by the stats surfaces.
   obs::NodeMetrics& metrics() const { return metrics_; }
 
-  /// Attaches the provenance tracer (set by the owning detector when the
-  /// node is installed; may be null). Edges are recorded only while the
-  /// tracer is enabled, so an idle tracer costs one relaxed load per Emit.
-  void set_tracer(obs::ProvenanceTracer* tracer) { tracer_ = tracer; }
-  obs::ProvenanceTracer* tracer() const { return tracer_; }
-
-  /// Attaches the causal span tracer (set by the owning detector alongside
-  /// the provenance tracer; may be null). Operator nodes record a
-  /// composite_detect span around each Emit so downstream rule firings
-  /// parent into the detection that caused them.
-  void set_span_tracer(obs::SpanTracer* tracer) { span_tracer_ = tracer; }
-  obs::SpanTracer* span_tracer() const { return span_tracer_; }
-
-  /// Attaches the continuous profiler (set by the owning detector under the
-  /// exclusive graph lock, like the tracers). Operator nodes resolve their
-  /// cost account and buffer-stripe contention site once here, so the Emit
-  /// and buffer-lock paths never touch an account map.
-  void set_profiler(obs::Profiler* profiler);
-  obs::Profiler* profiler() const { return profiler_; }
+  /// Attaches the database's instruments (set by the owning detector under
+  /// the exclusive graph lock when the node is installed). Operator nodes
+  /// resolve their cost account and buffer-stripe contention site once here,
+  /// so the Emit and buffer-lock paths never touch an account map; Emit
+  /// probes a composite_detect span and that account around each detection.
+  void set_instruments(const obs::Instruments& instruments);
+  const obs::Instruments& instruments() const { return ins_; }
 
   /// True for operator (composite) nodes; set once at construction.
   bool is_composite() const { return composite_; }
@@ -157,11 +140,12 @@ class EventNode {
   /// buffer mutations should lock through this instead of buffer_mu()
   /// directly.
   std::unique_lock<std::mutex> LockBuffer() const {
-    return obs::Profiler::LockContended(profiler_, buffer_site_, buffer_mu_);
+    return obs::Profiler::LockContended(ins_.profiler, buffer_site_,
+                                        buffer_mu_);
   }
 
-  /// Operator-node constructors call this once; Emit then wraps deliveries
-  /// in a composite_detect span when a span tracer is attached.
+  /// Operator-node constructors call this once; Emit then probes each
+  /// detection (composite_detect span + operator cost account).
   void MarkComposite() { composite_ = true; }
 
  private:
@@ -181,9 +165,7 @@ class EventNode {
   std::atomic<int> active_contexts_{0};
   std::mutex& buffer_mu_;
   mutable obs::NodeMetrics metrics_;
-  obs::ProvenanceTracer* tracer_ = nullptr;
-  obs::SpanTracer* span_tracer_ = nullptr;
-  obs::Profiler* profiler_ = nullptr;
+  obs::Instruments ins_;
   obs::Profiler::CostCell* cost_ = nullptr;            // operator eval account
   obs::Profiler::ContentionSite* buffer_site_ = nullptr;
   bool composite_ = false;

@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/pool.h"
 #include "obs/dot.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 
 namespace sentinel::detector {
@@ -57,9 +56,7 @@ Result<EventNode*> LocalEventDetector::InstallLocked(
     return Status::AlreadyExists("event already defined: " + name);
   }
   EventNode* raw = node.get();
-  raw->set_tracer(tracer_.load(std::memory_order_acquire));
-  raw->set_span_tracer(span_tracer_.load(std::memory_order_acquire));
-  raw->set_profiler(profiler_.load(std::memory_order_acquire));
+  raw->set_instruments(ins_);
   nodes_[name] = std::move(node);
   return raw;
 }
@@ -399,21 +396,14 @@ void LocalEventDetector::Notify(const std::string& class_name, oodb::Oid oid,
   }
   if (!has_observers && entry->nodes.empty()) return;
 
-  // Slow path only: the fast-path returns above stay span-free.
-  obs::SpanScope notify_span;
-  if (obs::SpanTracer* st = span_tracer_.load(std::memory_order_acquire);
-      st != nullptr && st->enabled_for(obs::SpanKind::kNotify)) {
-    notify_span.Start(st, obs::SpanKind::kNotify, txn,
-                      class_name + "::" + method_signature);
+  // Slow path only: the fast-path returns above stay probe-free. One probe
+  // feeds the notify span and the per-class-symbol dispatch account (event
+  // rates + dispatch cost for the shard-steering report).
+  obs::Probe probe(ins_, {.span = obs::SpanKind::kNotify, .txn = txn},
+                   [&] { return class_name + "::" + method_signature; });
+  if (probe.profiling()) {
+    probe.set_cost(ins_.profiler->SymbolEvents(entry->class_sym));
   }
-
-  // Slow path only, like the span: per-class-symbol dispatch attribution
-  // (event rates + dispatch cost for the shard-steering report).
-  obs::Profiler* profiler = profiler_.load(std::memory_order_acquire);
-  const bool profiling = profiler != nullptr && profiler->enabled() &&
-                         entry->class_sym != common::kInvalidSymbol;
-  const std::uint64_t prof_cpu0 = profiling ? obs::Profiler::ThreadCpuNs() : 0;
-  const std::uint64_t prof_t0 = profiling ? obs::Profiler::NowNs() : 0;
 
   auto pooled = common::MakePooled<PrimitiveOccurrence>();
   pooled->class_name = class_name;
@@ -431,11 +421,7 @@ void LocalEventDetector::Notify(const std::string& class_name, oodb::Oid oid,
   for (PrimitiveEventNode* node : entry->nodes) {
     if (node->Matches(*raw)) node->Signal(raw);
   }
-  if (profiling) {
-    profiler->RecordSymbolEvent(entry->class_sym,
-                                obs::Profiler::ThreadCpuNs() - prof_cpu0,
-                                obs::Profiler::NowNs() - prof_t0);
-  }
+  probe.End();
 }
 
 Status LocalEventDetector::RaiseExplicit(
@@ -448,16 +434,11 @@ Status LocalEventDetector::RaiseExplicit(
     return Status::NotFound("no explicit event named " + name);
   }
   notify_count_.fetch_add(1, std::memory_order_relaxed);
-  obs::SpanScope notify_span;
-  if (obs::SpanTracer* st = span_tracer_.load(std::memory_order_acquire);
-      st != nullptr && st->enabled_for(obs::SpanKind::kNotify)) {
-    notify_span.Start(st, obs::SpanKind::kNotify, txn, name);
+  obs::Probe probe(ins_, {.span = obs::SpanKind::kNotify, .txn = txn},
+                   [&] { return name; });
+  if (probe.profiling()) {
+    probe.set_cost(ins_.profiler->SymbolEvents(it->second->class_sym()));
   }
-  obs::Profiler* profiler = profiler_.load(std::memory_order_acquire);
-  const bool profiling = profiler != nullptr && profiler->enabled() &&
-                         it->second->class_sym() != common::kInvalidSymbol;
-  const std::uint64_t prof_cpu0 = profiling ? obs::Profiler::ThreadCpuNs() : 0;
-  const std::uint64_t prof_t0 = profiling ? obs::Profiler::NowNs() : 0;
   auto pooled = common::MakePooled<PrimitiveOccurrence>();
   pooled->event_name = name;
   pooled->class_name = kExplicitClass;
@@ -472,11 +453,7 @@ Status LocalEventDetector::RaiseExplicit(
   const std::shared_ptr<const PrimitiveOccurrence> raw = std::move(pooled);
   for (const auto& observer : raw_observers_) observer(*raw);
   it->second->Signal(raw);
-  if (profiling) {
-    profiler->RecordSymbolEvent(it->second->class_sym(),
-                                obs::Profiler::ThreadCpuNs() - prof_cpu0,
-                                obs::Profiler::NowNs() - prof_t0);
-  }
+  probe.End();
   return Status::OK();
 }
 
@@ -507,20 +484,16 @@ void LocalEventDetector::Inject(const PrimitiveOccurrence& recorded) {
                     recorded.method_signature);
   raw->class_sym = entry->class_sym;
   raw->method_sym = entry->method_sym;
-  obs::Profiler* profiler = profiler_.load(std::memory_order_acquire);
-  const bool profiling = profiler != nullptr && profiler->enabled() &&
-                         entry->class_sym != common::kInvalidSymbol;
-  const std::uint64_t prof_cpu0 = profiling ? obs::Profiler::ThreadCpuNs() : 0;
-  const std::uint64_t prof_t0 = profiling ? obs::Profiler::NowNs() : 0;
+  // Replays open no notify span; they feed the dispatch account only.
+  obs::Probe probe(ins_, {});
+  if (probe.profiling()) {
+    probe.set_cost(ins_.profiler->SymbolEvents(entry->class_sym));
+  }
   for (const auto& observer : raw_observers_) observer(*raw);
   for (PrimitiveEventNode* node : entry->nodes) {
     if (node->Matches(*raw)) node->Signal(raw);
   }
-  if (profiling) {
-    profiler->RecordSymbolEvent(entry->class_sym,
-                                obs::Profiler::ThreadCpuNs() - prof_cpu0,
-                                obs::Profiler::NowNs() - prof_t0);
-  }
+  probe.End();
 }
 
 void LocalEventDetector::AdvanceTime(std::uint64_t now_ms) {
@@ -583,7 +556,7 @@ void LocalEventDetector::FlushTxn(TxnId txn) {
     (void)name;
     FlushCounted(node.get(), [&] { node->FlushTxn(txn); });
   }
-  obs::ProvenanceTracer* tracer = tracer_.load(std::memory_order_acquire);
+  obs::ProvenanceTracer* tracer = ins_.provenance;
   if (tracer != nullptr && tracer->enabled()) tracer->FlushTxn(txn);
 }
 
@@ -675,30 +648,12 @@ Status LocalEventDetector::RemoveEvent(const std::string& name) {
 
 // ---- Observability ----------------------------------------------------------
 
-void LocalEventDetector::set_tracer(obs::ProvenanceTracer* tracer) {
+void LocalEventDetector::set_instruments(const obs::Instruments& instruments) {
   std::unique_lock<std::shared_mutex> lock(graph_mu_);
-  tracer_.store(tracer, std::memory_order_release);
+  ins_ = instruments;
   for (auto& [name, node] : nodes_) {
     (void)name;
-    node->set_tracer(tracer);
-  }
-}
-
-void LocalEventDetector::set_span_tracer(obs::SpanTracer* tracer) {
-  std::unique_lock<std::shared_mutex> lock(graph_mu_);
-  span_tracer_.store(tracer, std::memory_order_release);
-  for (auto& [name, node] : nodes_) {
-    (void)name;
-    node->set_span_tracer(tracer);
-  }
-}
-
-void LocalEventDetector::set_profiler(obs::Profiler* profiler) {
-  std::unique_lock<std::shared_mutex> lock(graph_mu_);
-  profiler_.store(profiler, std::memory_order_release);
-  for (auto& [name, node] : nodes_) {
-    (void)name;
-    node->set_profiler(profiler);
+    node->set_instruments(instruments);
   }
 }
 

@@ -184,29 +184,14 @@ class LocalEventDetector {
 
   // -- Observability ------------------------------------------------------------
 
-  /// Attaches the provenance tracer: propagated to every installed node and
-  /// to nodes installed later. Call before signalling starts.
-  void set_tracer(obs::ProvenanceTracer* tracer);
-  obs::ProvenanceTracer* tracer() const {
-    return tracer_.load(std::memory_order_acquire);
-  }
-
-  /// Attaches the causal span tracer: notify spans on the Notify slow path
-  /// (the fast-path returns stay metric-free) and composite_detect spans on
-  /// operator-node detections. Propagated to nodes like set_tracer.
-  void set_span_tracer(obs::SpanTracer* tracer);
-  obs::SpanTracer* span_tracer() const {
-    return span_tracer_.load(std::memory_order_acquire);
-  }
-
-  /// Attaches the continuous profiler: per-class-symbol event-dispatch
-  /// accounts on the Notify/RaiseExplicit/Inject slow paths (fast-path
-  /// returns stay profile-free) plus per-node operator accounts and
-  /// buffer-stripe contention sites. Propagated to nodes like set_tracer.
-  void set_profiler(obs::Profiler* profiler);
-  obs::Profiler* profiler() const {
-    return profiler_.load(std::memory_order_acquire);
-  }
+  /// Attaches the database's instruments, propagated to every installed
+  /// node and to nodes installed later (call before signalling starts; read
+  /// under the graph lock). Probes a notify span and the per-class-symbol
+  /// dispatch account on the Notify/RaiseExplicit slow paths (the fast-path
+  /// returns stay metric-free; Inject feeds the account only); nodes probe
+  /// composite_detect spans, operator accounts and buffer-stripe contention.
+  void set_instruments(const obs::Instruments& instruments);
+  const obs::Instruments& instruments() const { return ins_; }
 
   /// Event graph in Graphviz DOT (`digraph event_graph`), nodes annotated
   /// with their per-context reference counts, detection counters and
@@ -293,9 +278,7 @@ class LocalEventDetector {
   LogicalClock clock_;
   std::atomic<std::uint64_t> now_ms_{0};
   std::atomic<std::uint64_t> notify_count_{0};
-  std::atomic<obs::ProvenanceTracer*> tracer_{nullptr};
-  std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
-  std::atomic<obs::Profiler*> profiler_{nullptr};
+  obs::Instruments ins_;  // guarded by graph_mu_ (written exclusive)
 };
 
 }  // namespace sentinel::detector

@@ -198,6 +198,7 @@ void GlobalEventDetector::Pump(const std::string& app_name,
 void GlobalEventDetector::BusLoop() {
   for (;;) {
     std::pair<std::string, detector::PrimitiveOccurrence> item;
+    obs::Instruments ins;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !bus_.empty(); });
@@ -205,6 +206,7 @@ void GlobalEventDetector::BusLoop() {
       item = std::move(bus_.front());
       bus_.pop_front();
       busy_ = true;
+      ins = ins_;
     }
     // Rewrite the class to the application-scoped namespace and inject into
     // the global graph. Inter-application events intentionally span
@@ -215,33 +217,28 @@ void GlobalEventDetector::BusLoop() {
     detector::PrimitiveOccurrence occ = item.second;
     occ.class_name = Namespaced(item.first, occ.class_name);
     occ.at = graph_.clock()->Tick();
-    obs::SpanScope forward_span;
-    if (obs::SpanTracer* st = graph_.span_tracer();
-        st != nullptr && st->enabled_for(obs::SpanKind::kGedForward)) {
-      // A remote occurrence carries its causal chain: trace_parent is the
-      // latest upstream span (the server's admission-wait span — same
-      // process, so it pins the local parent directly), trace_id marks the
-      // cross-process trace. Downstream composite_detect spans parent here
-      // via the scope stack.
-      forward_span.Start(st, obs::SpanKind::kGedForward, occ.txn,
-                         occ.class_name + "::" + occ.method_signature,
-                         /*subtxn=*/0,
-                         /*parent_override=*/occ.trace_parent);
-      if (occ.trace_id != 0) forward_span.AnnotateRemote(occ.trace_id, 0);
-      occ.trace_parent = forward_span.id();
+    // A remote occurrence carries its causal chain: trace_parent is the
+    // latest upstream span (the server's admission-wait span — same process,
+    // so it pins the local parent directly), trace_id marks the
+    // cross-process trace. Downstream composite_detect spans parent here via
+    // the scope stack.
+    obs::Probe probe(ins,
+                     {.span = obs::SpanKind::kGedForward,
+                      .txn = occ.txn,
+                      .parent = occ.trace_parent},
+                     [&occ] {
+                       return occ.class_name + "::" + occ.method_signature;
+                     });
+    if (probe.span_id() != 0) {
+      if (occ.trace_id != 0) probe.AnnotateRemote(occ.trace_id, 0);
+      occ.trace_parent = probe.span_id();
     }
-    obs::Profiler* profiler = graph_.profiler();
-    const bool profiling = profiler != nullptr && profiler->enabled();
-    const std::uint64_t prof_cpu0 =
-        profiling ? obs::Profiler::ThreadCpuNs() : 0;
-    const std::uint64_t prof_t0 = profiling ? obs::Profiler::NowNs() : 0;
+    if (probe.profiling()) {
+      probe.set_cost(
+          ins.profiler->GlobalAccount(obs::Profiler::GlobalSeam::kGedForward));
+    }
     graph_.Inject(occ);
-    if (profiling) {
-      profiler->RecordGlobal(obs::Profiler::GlobalSeam::kGedForward,
-                             obs::Profiler::ThreadCpuNs() - prof_cpu0,
-                             obs::Profiler::NowNs() - prof_t0);
-    }
-    forward_span.End();
+    probe.End();
     {
       std::lock_guard<std::mutex> lock(mu_);
       busy_ = false;
@@ -290,12 +287,11 @@ bool GlobalEventDetector::IsRegistered(const std::string& app_name) const {
   return apps_.count(app_name) != 0 || remote_apps_.count(app_name) != 0;
 }
 
-void GlobalEventDetector::set_span_tracer(obs::SpanTracer* tracer) {
-  graph_.set_span_tracer(tracer);
-}
-
-void GlobalEventDetector::set_profiler(obs::Profiler* profiler) {
-  graph_.set_profiler(profiler);
+void GlobalEventDetector::set_instruments(
+    const obs::Instruments& instruments) {
+  graph_.set_instruments(instruments);
+  std::lock_guard<std::mutex> lock(mu_);
+  ins_ = instruments;
 }
 
 std::string GlobalEventDetector::StatsJson() const {

@@ -17,10 +17,6 @@
 #include "core/active_database.h"
 #include "detector/local_detector.h"
 
-namespace sentinel::obs {
-class SpanTracer;
-}  // namespace sentinel::obs
-
 namespace sentinel::ged {
 
 /// Global event detector (paper Fig. 2 and §4 future work): detects
@@ -135,15 +131,11 @@ class GlobalEventDetector {
   /// Bus counters plus the internal graph's per-node stats as JSON.
   std::string StatsJson() const;
 
-  /// Attaches the causal span tracer: the bus worker records a ged_forward
-  /// span around each injection into the global graph (and the graph's own
-  /// nodes record composite_detect spans).
-  void set_span_tracer(obs::SpanTracer* tracer);
-
-  /// Attaches the continuous profiler: propagated into the internal graph
-  /// (operator-node cost accounts, per-symbol dispatch accounts) and the bus
-  /// worker records each injection into the ged_forward global seam.
-  void set_profiler(obs::Profiler* profiler);
+  /// Attaches the database's instruments: propagated into the internal
+  /// graph (composite_detect spans, operator-node and per-symbol dispatch
+  /// accounts), and the bus worker probes each injection (ged_forward span
+  /// and global profiler seam).
+  void set_instruments(const obs::Instruments& instruments);
 
  private:
   class Forwarder;
@@ -159,6 +151,7 @@ class GlobalEventDetector {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::pair<std::string, detector::PrimitiveOccurrence>> bus_;
+  obs::Instruments ins_;  // guarded by mu_
   bool busy_ = false;
   bool stop_ = false;
   std::uint64_t forwarded_ = 0;

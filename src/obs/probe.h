@@ -1,0 +1,135 @@
+#ifndef SENTINEL_OBS_PROBE_H_
+#define SENTINEL_OBS_PROBE_H_
+
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
+
+#include "obs/metrics.h"
+#include "obs/profiler.h"
+#include "obs/span.h"
+
+namespace sentinel::obs {
+
+class ProvenanceTracer;
+
+/// The database's instrumentation providers (DESIGN.md §9). Each component
+/// receives one copy through `set_instruments` and hands it to every Probe it
+/// opens; any pointer may be null. The providers gate themselves (span mode,
+/// profiler mode, provenance enable), so wiring them costs nothing when off.
+struct Instruments {
+  SpanTracer* spans = nullptr;
+  Profiler* profiler = nullptr;
+  ProvenanceTracer* provenance = nullptr;
+};
+
+/// The sinks one pipeline seam feeds. Every field is optional; a seam names
+/// exactly the recorders it reports to.
+struct Seam {
+  std::optional<SpanKind> span = std::nullopt;  // no span when empty
+  storage::TxnId txn = storage::kInvalidTxnId;
+  std::uint64_t subtxn = 0;
+  std::uint64_t parent = 0;  // explicit span parent; 0 = scope stack / txn
+  LatencyHistogram* histogram = nullptr;
+  Profiler::CostCell* cost = nullptr;         // used only while profiling
+  Profiler::ContentionSite* site = nullptr;   // wait time, while profiling
+  bool timed = false;  // read the clock even with no live sink (End's value)
+};
+
+/// One instrumented interval. Start checks the span and profiler gates once
+/// and reads the steady clock once (only when some sink is live); End reads
+/// it once more and hands that single interval to the histogram, the span
+/// (as its timestamps), the profiler cost cell (plus a thread-CPU pair,
+/// read only while profiling) and the contention site. So span durations,
+/// histogram sums and profiler wall totals agree by construction.
+///
+/// End() marks a completed interval. A probe destroyed without End() — an
+/// exception, or an early error return — still closes its span (the trace
+/// shows the failed attempt) but leaves histogram, cost and site to
+/// completed intervals.
+class Probe {
+ public:
+  Probe() = default;  // inert until Start
+  Probe(const Instruments& in, const Seam& seam) { Start(in, seam); }
+  /// `label()` builds the span label; it runs only when the span gate
+  /// passed, and before the clock starts.
+  template <typename Label>
+  Probe(const Instruments& in, const Seam& seam, Label&& label) {
+    Start(in, seam, std::forward<Label>(label));
+  }
+  ~Probe() {
+    if (timed_) Close(/*completed=*/false);
+  }
+
+  Probe(const Probe&) = delete;
+  Probe& operator=(const Probe&) = delete;
+
+  void Start(const Instruments& in, const Seam& seam) {
+    Start(in, seam, [] { return std::string(); });
+  }
+  template <typename Label>
+  void Start(const Instruments& in, const Seam& seam, Label&& label) {
+    if (timed_) return;
+    if (Gate(in, seam)) {
+      Open(in, seam, std::string(label()));
+    } else if (timed_) {
+      Open(in, seam, std::nullopt);
+    }
+  }
+
+  std::uint64_t span_id() const { return span_.id(); }
+  void AnnotateRemote(std::uint64_t trace, std::uint64_t remote_parent) {
+    span_.AnnotateRemote(trace, remote_parent);
+  }
+
+  /// The profiler gate passed: resolve lazily-created accounts (set_cost)
+  /// and push a sampler frame (popped at End) on this thread, which is
+  /// registered with the sampler as `thread_name`-N on first use.
+  bool profiling() const { return profiler_ != nullptr; }
+  void set_cost(Profiler::CostCell* cost) { cost_ = cost; }
+  void Annotate(const char* thread_name, const char* frame);
+
+  /// Closes a completed interval and returns its wall nanoseconds (0 when
+  /// no sink was live and the seam is not `timed`; a second call records
+  /// nothing and returns 0).
+  std::uint64_t End() { return timed_ ? Close(/*completed=*/true) : 0; }
+  /// Thread-CPU nanoseconds of the closed interval (0 unless profiling).
+  std::uint64_t cpu_ns() const { return cpu_ns_; }
+
+ private:
+  /// Checks the gates and picks the sinks; returns the span gate. Inline:
+  /// with every gate off this is the whole cost of a probe.
+  bool Gate(const Instruments& in, const Seam& seam) {
+    const bool spans = seam.span.has_value() && in.spans != nullptr &&
+                       in.spans->enabled_for(*seam.span);
+    if (in.profiler != nullptr && in.profiler->enabled()) {
+      profiler_ = in.profiler;
+    }
+    timed_ = seam.timed || seam.histogram != nullptr || spans ||
+             profiler_ != nullptr;
+    histogram_ = seam.histogram;
+    cost_ = seam.cost;
+    site_ = seam.site;
+    return spans;
+  }
+  /// Reads the start clock(s) and opens the span when labelled.
+  void Open(const Instruments& in, const Seam& seam,
+            std::optional<std::string> label);
+  std::uint64_t Close(bool completed);
+
+  SpanScope span_;
+  std::optional<Profiler::AnnotationScope> frame_;
+  Profiler* profiler_ = nullptr;  // set only when the profiler gate passed
+  LatencyHistogram* histogram_ = nullptr;
+  Profiler::CostCell* cost_ = nullptr;
+  Profiler::ContentionSite* site_ = nullptr;
+  std::uint64_t t0_ = 0;
+  std::uint64_t cpu0_ = 0;
+  std::uint64_t cpu_ns_ = 0;
+  bool timed_ = false;
+};
+
+}  // namespace sentinel::obs
+
+#endif  // SENTINEL_OBS_PROBE_H_

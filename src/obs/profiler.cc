@@ -216,32 +216,15 @@ Profiler::CostCell* Profiler::NodeAccount(const std::string& node_name) {
   return slot.get();
 }
 
-void Profiler::RecordRuleFiring(const std::string& rule_name,
-                                const detector::Occurrence* occurrence,
-                                const CostDelta& condition,
-                                const CostDelta& action,
-                                const CostDelta& commit) {
-  RuleCost* rule = GetRuleCost(rule_name);
-  if (condition.valid) {
-    rule->seams[static_cast<int>(RuleSeam::kCondition)].Record(
-        condition.cpu_ns, condition.wall_ns);
-  }
-  if (action.valid) {
-    rule->seams[static_cast<int>(RuleSeam::kAction)].Record(action.cpu_ns,
-                                                            action.wall_ns);
-  }
-  if (commit.valid) {
-    rule->seams[static_cast<int>(RuleSeam::kCommit)].Record(commit.cpu_ns,
-                                                            commit.wall_ns);
-  }
-
-  if (occurrence == nullptr) return;
+void Profiler::AttributeRuleCost(RuleCost* rule,
+                                 const detector::Occurrence& occurrence,
+                                 std::uint64_t cpu, std::uint64_t wall) {
   // Distinct class symbols among the triggering constituents — a composite
   // rule spanning several classes is exactly the coupling the shard report
   // must know about.
   common::SymbolId inline_syms[8];
   std::size_t sym_count = 0;
-  for (const auto& constituent : occurrence->constituents) {
+  for (const auto& constituent : occurrence.constituents) {
     if (constituent == nullptr) continue;
     const common::SymbolId sym = constituent->class_sym;
     if (sym == common::kInvalidSymbol) continue;
@@ -269,27 +252,17 @@ void Profiler::RecordRuleFiring(const std::string& rule_name,
     }
   }
 
-  // Split the rule's own compute (condition + action; commit cost belongs to
-  // the storage layer) evenly across the contributing symbols.
-  const std::uint64_t cpu =
-      (condition.valid ? condition.cpu_ns : 0) + (action.valid ? action.cpu_ns : 0);
-  const std::uint64_t wall = (condition.valid ? condition.wall_ns : 0) +
-                             (action.valid ? action.wall_ns : 0);
+  // Split the rule's own compute (commit cost belongs to the storage layer)
+  // evenly across the contributing symbols.
   for (std::size_t i = 0; i < sym_count; ++i) {
     GetSymbolCost(inline_syms[i])
         ->rules.Record(cpu / sym_count, wall / sym_count);
   }
 }
 
-void Profiler::RecordSymbolEvent(common::SymbolId sym, std::uint64_t cpu,
-                                 std::uint64_t wall) {
-  if (sym == common::kInvalidSymbol) return;
-  GetSymbolCost(sym)->events.Record(cpu, wall);
-}
-
-void Profiler::RecordGlobal(GlobalSeam seam, std::uint64_t cpu,
-                            std::uint64_t wall) {
-  global_[static_cast<int>(seam)].Record(cpu, wall);
+Profiler::CostCell* Profiler::SymbolEvents(common::SymbolId sym) {
+  if (sym == common::kInvalidSymbol) return nullptr;
+  return &GetSymbolCost(sym)->events;
 }
 
 // -- Feed 2: lock contention -------------------------------------------------

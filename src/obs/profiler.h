@@ -26,12 +26,13 @@ class MetricSink;
 /// always cheap when off: every feed is gated on one relaxed load of the
 /// mode, the same budget discipline as SpanTracer. Three feeds:
 ///
-///   1. *Exact attribution* — the seams that already carry spans (condition,
-///      action, operator-node evaluation, commit barrier, GED forward) also
-///      record CPU-ns (CLOCK_THREAD_CPUTIME_ID), wall-ns and invocation
-///      counts into per-rule, per-event-node and per-interned-class-symbol
-///      cost accounts. Accounts store sharded counters so concurrent
-///      scheduler workers never contend on one cache line.
+///   1. *Exact attribution* — the obs::Probe at each attributed seam
+///      (condition, action, commit, operator-node evaluation, event dispatch,
+///      commit barrier, GED forward) hands its one wall interval plus a
+///      thread-CPU delta (CLOCK_THREAD_CPUTIME_ID) to per-rule,
+///      per-event-node, per-interned-class-symbol or global cost accounts.
+///      Accounts store sharded counters so concurrent scheduler workers
+///      never contend on one cache line.
 ///   2. *Lock contention* — the striped detector buffer mutexes, the storage
 ///      lock manager and the WAL group-commit barrier report try-then-wait
 ///      accounting (acquisitions, contended acquisitions, summed wait-ns)
@@ -75,14 +76,6 @@ class Profiler {
   /// the platform lacks it).
   static std::uint64_t ThreadCpuNs();
 
-  /// One measured interval at an attribution seam. `valid` marks whether the
-  /// seam ran at all this firing (a failed condition skips the action).
-  struct CostDelta {
-    std::uint64_t cpu_ns = 0;
-    std::uint64_t wall_ns = 0;
-    bool valid = false;
-  };
-
   struct CostSnapshot {
     std::uint64_t invocations = 0;
     std::uint64_t cpu_ns = 0;
@@ -120,29 +113,37 @@ class Profiler {
   static const char* GlobalSeamName(GlobalSeam seam);
 
   // -- Feed 1: exact attribution ---------------------------------------------
+  // obs::Probe records into these cells (DESIGN.md §9): the account getters
+  // return pointers that stay valid for the profiler's lifetime.
 
-  /// Records one rule firing's seam costs, attributes the condition+action
-  /// cost to the distinct class symbols among the triggering occurrence's
-  /// constituents (split evenly), and remembers the rule↔symbol coupling for
-  /// the shard-steering report. `occurrence` may be null (no attribution).
-  /// Call only after enabled() passed.
-  void RecordRuleFiring(const std::string& rule_name,
-                        const detector::Occurrence* occurrence,
-                        const CostDelta& condition, const CostDelta& action,
-                        const CostDelta& commit);
+  /// Per-rule condition/action/commit cells plus the class symbols that
+  /// triggered the rule (for the shard-steering report).
+  struct RuleCost {
+    std::array<CostCell, kRuleSeams> seams;
+    std::mutex sym_mu;
+    std::vector<common::SymbolId> symbols;  // sorted distinct
+  };
+  RuleCost* GetRuleCost(const std::string& name);
 
-  /// Per-event-node operator-evaluation account; the returned pointer is
-  /// stable for the profiler's lifetime (nodes cache it at set_profiler
-  /// time so the Emit path never takes the account-map lock).
+  /// Attributes one firing's own compute (condition + action, as measured by
+  /// their probes) to the distinct class symbols among the triggering
+  /// occurrence's constituents (split evenly), and remembers the
+  /// rule<->symbol coupling. Call only after enabled() passed.
+  void AttributeRuleCost(RuleCost* rule, const detector::Occurrence& occurrence,
+                         std::uint64_t cpu, std::uint64_t wall);
+
+  /// Per-event-node operator-evaluation account (nodes cache it when their
+  /// instruments are set, so the Emit path never takes the account-map lock).
   CostCell* NodeAccount(const std::string& node_name);
 
   /// Per-class-symbol primitive-dispatch account (event rates for the shard
-  /// report). Call only after enabled() passed.
-  void RecordSymbolEvent(common::SymbolId sym, std::uint64_t cpu,
-                         std::uint64_t wall);
+  /// report); null for kInvalidSymbol.
+  CostCell* SymbolEvents(common::SymbolId sym);
 
-  /// Commit-barrier / GED-forward seams. Call only after enabled() passed.
-  void RecordGlobal(GlobalSeam seam, std::uint64_t cpu, std::uint64_t wall);
+  /// Commit-barrier / GED-forward seams.
+  CostCell* GlobalAccount(GlobalSeam seam) {
+    return &global_[static_cast<int>(seam)];
+  }
 
   // -- Feed 2: lock contention -----------------------------------------------
 
@@ -314,17 +315,11 @@ class Profiler {
   void WriteMetrics(MetricSink& s) const;
 
  private:
-  struct RuleCost {
-    std::array<CostCell, kRuleSeams> seams;
-    std::mutex sym_mu;
-    std::vector<common::SymbolId> symbols;  // sorted distinct
-  };
   struct SymbolCost {
     CostCell events;
     CostCell rules;
   };
 
-  RuleCost* GetRuleCost(const std::string& name);
   SymbolCost* GetSymbolCost(common::SymbolId sym);
 
   void SamplerLoop();

@@ -385,7 +385,7 @@ Status SpanTracer::ExportChromeTrace(const std::string& path,
 
 void SpanScope::Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
                       std::string label, std::uint64_t subtxn,
-                      std::uint64_t parent_override) {
+                      std::uint64_t parent_override, std::uint64_t start_ns) {
   if (tracer == nullptr || tracer_ != nullptr) return;
   tracer_ = tracer;
   span_.id = tracer->NextSpanId();
@@ -394,16 +394,16 @@ void SpanScope::Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
   span_.kind = kind;
   span_.txn = txn;
   span_.subtxn = subtxn;
-  span_.start_ns = SpanTracer::NowNs();
+  span_.start_ns = start_ns != 0 ? start_ns : SpanTracer::NowNs();
   span_.tid = ThisThreadId();
   span_.label = std::move(label);
   pushed_ = PushScope(tracer->uid_, span_.id);
 }
 
-void SpanScope::End() {
+void SpanScope::End(std::uint64_t end_ns) {
   if (tracer_ == nullptr) return;
   if (pushed_) PopScope(tracer_->uid_, span_.id);
-  span_.end_ns = SpanTracer::NowNs();
+  span_.end_ns = end_ns != 0 ? end_ns : SpanTracer::NowNs();
   tracer_->Commit(std::move(span_));
   tracer_ = nullptr;
   pushed_ = false;

@@ -220,17 +220,21 @@ class SpanTracer {
 class SpanScope {
  public:
   SpanScope() = default;
-  ~SpanScope() { End(); }
+  ~SpanScope() {
+    if (tracer_ != nullptr) End();
+  }
 
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
   /// `parent_override` pins the parent explicitly (a firing's triggering
   /// detection span); 0 means resolve from the scope stack / txn anchors.
+  /// `start_ns` / `end_ns` take a timestamp the caller already read (an
+  /// obs::Probe's clock pair); 0 reads the clock.
   void Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
              std::string label, std::uint64_t subtxn = 0,
-             std::uint64_t parent_override = 0);
-  void End();
+             std::uint64_t parent_override = 0, std::uint64_t start_ns = 0);
+  void End(std::uint64_t end_ns = 0);
 
   /// Marks an open span as part of distributed trace `trace`, causally
   /// parented by `remote_parent` (a span id possibly from another process;

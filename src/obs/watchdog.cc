@@ -345,8 +345,8 @@ std::string Watchdog::HealthJson() const {
     }
   }
   w.Key("rates").BeginObject();
-  // JsonWriter has no double overload; rates are scaled to milli-units so
-  // integers carry the precision a health probe needs.
+  // Milli-unit integers, kept for /healthz compatibility: probes parse
+  // these field names, although JsonWriter can now write doubles.
   w.Field("events_per_sec_milli",
           static_cast<std::uint64_t>(r.events_per_sec * 1000));
   w.Field("detections_per_sec_milli",

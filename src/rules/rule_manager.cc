@@ -390,10 +390,10 @@ void RuleManager::Trigger(Rule* rule, const detector::Occurrence& occurrence,
   // Capture the span live on this (signalling) thread — the composite_detect
   // or notify span we are inside of — so the firing's subtxn span can parent
   // under it even though it executes on a scheduler thread.
-  firing.trigger_span =
-      obs::SpanTracer::CurrentSpanIdFor(detector_->span_tracer());
+  const obs::Instruments& ins = detector_->instruments();
+  firing.trigger_span = obs::SpanTracer::CurrentSpanIdFor(ins.spans);
 
-  obs::ProvenanceTracer* tracer = detector_->tracer();
+  obs::ProvenanceTracer* tracer = ins.provenance;
   if (tracer != nullptr && tracer->enabled()) {
     tracer->Record(obs::EdgeKind::kFiring, occurrence.event_name, rule->name(),
                    firing.txn, context, 0);

@@ -1,14 +1,11 @@
 #include "rules/scheduler.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "detector/local_detector.h"
 #include "obs/metric_sink.h"
-#include "obs/profiler.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 
 namespace sentinel::rules {
@@ -18,12 +15,8 @@ namespace {
 thread_local RuleScheduler::Frame* t_frame = nullptr;
 thread_local RuleScheduler::BatchScope* t_batch_scope = nullptr;
 
-std::uint64_t NowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+/// Sampler thread name of the workers that execute rules.
+constexpr char kExecThread[] = "rule-exec";
 
 /// Lexicographic priority order: larger element wins; a path extending a
 /// prefix wins over the prefix (depth-first).
@@ -192,29 +185,8 @@ void RuleScheduler::Execute(Firing firing) {
   Rule* rule = firing.rule;
   if (rule == nullptr || !rule->enabled()) return;
 
-  obs::ProvenanceTracer* tracer = tracer_.load(std::memory_order_acquire);
+  obs::ProvenanceTracer* tracer = ins_.provenance;
   const bool tracing = tracer != nullptr && tracer->enabled();
-  obs::SpanTracer* span_tracer = span_tracer_.load(std::memory_order_acquire);
-  const bool spans =
-      span_tracer != nullptr &&
-      span_tracer->enabled_for(obs::SpanKind::kSubTxn);
-
-  // Continuous profiling (one relaxed load when off): the condition/action/
-  // commit seams below reuse the wall timestamps already taken for the rule
-  // histograms and add a thread-CPU clock reading, so the profiler's
-  // per-rule accounts agree with the histograms by construction.
-  obs::Profiler* profiler = profiler_.load(std::memory_order_acquire);
-  const bool profiling = profiler != nullptr && profiler->enabled();
-  obs::Profiler::CostDelta prof_condition;
-  obs::Profiler::CostDelta prof_action;
-  obs::Profiler::CostDelta prof_commit;
-  obs::Profiler::ThreadAnnotations* annotations = nullptr;
-  const char* rule_frame = nullptr;
-  if (profiling) {
-    annotations = profiler->EnsureThisThread("rule-exec");
-    rule_frame = profiler->InternFrame(rule->name());
-  }
-  obs::Profiler::AnnotationScope exec_frame(profiler, annotations, rule_frame);
 
   RuleContext ctx;
   ctx.occurrence = &firing.occurrence;
@@ -250,14 +222,27 @@ void RuleScheduler::Execute(Firing firing) {
   // Subtxn span: parented under the triggering detection's span (captured
   // into the firing when it was enqueued — the execution usually happens on
   // a different thread, so the per-thread scope stack cannot supply it).
-  // The scope stays open across commit/abort below so the span covers the
+  // The probe stays open across commit/abort below so the span covers the
   // whole firing lifecycle; condition/action child spans nest inside it via
-  // this thread's scope stack.
-  obs::SpanScope subtxn_span;
-  if (spans) {
-    subtxn_span.Start(span_tracer, obs::SpanKind::kSubTxn, firing.txn,
-                      rule->name(), sub, firing.trigger_span);
+  // this thread's scope stack, and the sampler sees the rule's frame.
+  obs::Probe firing_probe(ins_,
+                          {.span = obs::SpanKind::kSubTxn,
+                           .txn = firing.txn,
+                           .subtxn = sub,
+                           .parent = firing.trigger_span},
+                          [rule] { return rule->name(); });
+  // The per-rule profiler cells the seam probes below record into.
+  obs::Profiler::RuleCost* cost = nullptr;
+  if (firing_probe.profiling()) {
+    firing_probe.Annotate(kExecThread,
+                          ins_.profiler->InternFrame(rule->name()));
+    cost = ins_.profiler->GetRuleCost(rule->name());
   }
+  auto seam_cost = [cost](obs::Profiler::RuleSeam seam) {
+    return cost != nullptr ? &cost->seams[static_cast<int>(seam)] : nullptr;
+  };
+  std::uint64_t own_cpu = 0;   // condition + action, for symbol attribution
+  std::uint64_t own_wall = 0;
 
   // Publish this firing as the current frame so nested triggers (raised from
   // the action) inherit txn/priority/depth.
@@ -291,40 +276,30 @@ void RuleScheduler::Execute(Firing firing) {
         // Conditions are side-effect free: suppress event signalling while
         // the condition function runs (§3.2.1).
         detector::LocalEventDetector::SuppressScope guard;
-        obs::SpanScope cond_span;
-        if (spans && span_tracer->enabled_for(obs::SpanKind::kCondition)) {
-          cond_span.Start(span_tracer, obs::SpanKind::kCondition, firing.txn,
-                          rule->name() + ".condition", sub);
-        }
-        obs::Profiler::AnnotationScope cond_frame(profiler, annotations,
-                                                  "condition");
-        const std::uint64_t cpu0 =
-            profiling ? obs::Profiler::ThreadCpuNs() : 0;
-        const std::uint64_t t0 = NowNs();
+        obs::Probe probe(
+            ins_, {.span = obs::SpanKind::kCondition,
+                   .txn = firing.txn,
+                   .subtxn = sub,
+                   .histogram = &rule->metrics().condition_ns,
+                   .cost = seam_cost(obs::Profiler::RuleSeam::kCondition)},
+            [rule] { return rule->name() + ".condition"; });
+        probe.Annotate(kExecThread, "condition");
         condition_held = rule->condition()(ctx);
-        const std::uint64_t wall = NowNs() - t0;
-        rule->metrics().condition_ns.Record(wall);
-        if (profiling) {
-          prof_condition = {obs::Profiler::ThreadCpuNs() - cpu0, wall, true};
-        }
+        own_wall += probe.End();
+        own_cpu += probe.cpu_ns();
       }
       if (condition_held && rule->action()) {
-        obs::SpanScope action_span;
-        if (spans && span_tracer->enabled_for(obs::SpanKind::kAction)) {
-          action_span.Start(span_tracer, obs::SpanKind::kAction, firing.txn,
-                            rule->name() + ".action", sub);
-        }
-        obs::Profiler::AnnotationScope action_frame(profiler, annotations,
-                                                    "action");
-        const std::uint64_t cpu0 =
-            profiling ? obs::Profiler::ThreadCpuNs() : 0;
-        const std::uint64_t t0 = NowNs();
+        obs::Probe probe(
+            ins_, {.span = obs::SpanKind::kAction,
+                   .txn = firing.txn,
+                   .subtxn = sub,
+                   .histogram = &rule->metrics().action_ns,
+                   .cost = seam_cost(obs::Profiler::RuleSeam::kAction)},
+            [rule] { return rule->name() + ".action"; });
+        probe.Annotate(kExecThread, "action");
         rule->action()(ctx);
-        const std::uint64_t wall = NowNs() - t0;
-        rule->metrics().action_ns.Record(wall);
-        if (profiling) {
-          prof_action = {obs::Profiler::ThreadCpuNs() - cpu0, wall, true};
-        }
+        own_wall += probe.End();
+        own_cpu += probe.cpu_ns();
       }
     } catch (const std::exception& e) {
       failure = Status::Internal("rule " + rule->name() +
@@ -343,15 +318,11 @@ void RuleScheduler::Execute(Firing firing) {
     // accumulated by the lock table; harvest it before the subtxn finishes.
     rule->metrics().lock_wait_ns.Record(nested_->LockWaitNs(sub));
     if (failure.ok()) {
-      const std::uint64_t cpu0 = profiling ? obs::Profiler::ThreadCpuNs() : 0;
-      const std::uint64_t t0 = NowNs();
+      obs::Probe probe(
+          ins_, {.histogram = &rule->metrics().commit_ns,
+                 .cost = seam_cost(obs::Profiler::RuleSeam::kCommit)});
       Status commit = nested_->Commit(sub);
-      const std::uint64_t commit_wall = NowNs() - t0;
-      rule->metrics().commit_ns.Record(commit_wall);
-      if (profiling) {
-        prof_commit = {obs::Profiler::ThreadCpuNs() - cpu0, commit_wall,
-                       true};
-      }
+      probe.End();
       if (tracing) {
         tracer->Record(obs::EdgeKind::kSubTxn, rule->name(),
                        commit.ok() ? "commit" : "commit-failed", firing.txn,
@@ -363,9 +334,9 @@ void RuleScheduler::Execute(Firing firing) {
         sub_status = commit;
       }
     } else {
-      const std::uint64_t t0 = NowNs();
+      obs::Probe probe(ins_, {.histogram = &rule->metrics().abort_ns});
       Status aborted = nested_->Abort(sub);
-      rule->metrics().abort_ns.Record(NowNs() - t0);
+      probe.End();
       if (tracing) {
         tracer->Record(obs::EdgeKind::kSubTxn, rule->name(), "abort",
                        firing.txn, firing.context, sub);
@@ -377,9 +348,9 @@ void RuleScheduler::Execute(Firing firing) {
     }
   }
 
-  if (profiling) {
-    profiler->RecordRuleFiring(rule->name(), &firing.occurrence,
-                               prof_condition, prof_action, prof_commit);
+  if (cost != nullptr) {
+    ins_.profiler->AttributeRuleCost(cost, firing.occurrence, own_cpu,
+                                     own_wall);
   }
 
   if (failure.ok()) {

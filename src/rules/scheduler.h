@@ -10,14 +10,12 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/probe.h"
 #include "rules/rule.h"
 #include "rules/thread_pool.h"
 
 namespace sentinel::obs {
 class MetricSink;
-class Profiler;
-class ProvenanceTracer;
-class SpanTracer;
 }  // namespace sentinel::obs
 
 namespace sentinel::rules {
@@ -176,24 +174,12 @@ class RuleScheduler {
     contingency_.store(policy, std::memory_order_relaxed);
   }
 
-  /// Attaches the provenance tracer; firing→subtransaction edges are
-  /// recorded while it is enabled.
-  void set_tracer(obs::ProvenanceTracer* tracer) {
-    tracer_.store(tracer, std::memory_order_release);
-  }
-
-  /// Attaches the causal span tracer; each firing records a subtxn span
-  /// (with condition/action child spans) parented under its trigger_span.
-  void set_span_tracer(obs::SpanTracer* tracer) {
-    span_tracer_.store(tracer, std::memory_order_release);
-  }
-
-  /// Attaches the continuous profiler; while it is enabled, each firing's
-  /// condition/action/commit seams record CPU+wall cost into per-rule and
-  /// per-class-symbol accounts and the executing thread is annotated for
-  /// the wall-clock sampler.
-  void set_profiler(obs::Profiler* profiler) {
-    profiler_.store(profiler, std::memory_order_release);
+  /// Attaches the database's instruments (call before firings run). Each
+  /// firing probes its subtxn span (with condition/action children), the
+  /// condition/action/commit/abort histograms and the per-rule profiler
+  /// cells, and records firing->subtransaction provenance edges.
+  void set_instruments(const obs::Instruments& instruments) {
+    ins_ = instruments;
   }
 
   /// Invoked (with the doomed transaction id) when the kAbortTop contingency
@@ -226,9 +212,7 @@ class RuleScheduler {
   txn::NestedTransactionManager* nested_;
   oodb::Database* db_;
   std::unique_ptr<ThreadPool> pool_;
-  std::atomic<obs::ProvenanceTracer*> tracer_{nullptr};
-  std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
-  std::atomic<obs::Profiler*> profiler_{nullptr};
+  obs::Instruments ins_;
   PostmortemHook postmortem_hook_;  // guarded by mu_
 
   std::mutex mu_;

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "common/failpoint.h"
-#include "obs/span.h"
 
 namespace sentinel::storage {
 
@@ -30,14 +29,15 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
   auto frame = GetFreeFrameLocked();
   if (!frame.ok()) return frame.status();
   Page* page = frames_[*frame].get();
-  obs::SpanScope read_span;
-  if (obs::SpanTracer* st = span_tracer_.load(std::memory_order_acquire);
-      st != nullptr && st->enabled_for(obs::SpanKind::kPageRead)) {
-    read_span.Start(st, obs::SpanKind::kPageRead, kInvalidTxnId,
-                    "page " + std::to_string(page_id));
+  obs::Probe probe(ins_, {.span = obs::SpanKind::kPageRead},
+                   [page_id] { return "page " + std::to_string(page_id); });
+  Status read = disk_->ReadPage(page_id, page);
+  probe.End();
+  if (!read.ok()) {
+    // The frame holds no page: hand it back, or the pool leaks it for good.
+    free_frames_.push_back(*frame);
+    return read;
   }
-  SENTINEL_RETURN_NOT_OK(disk_->ReadPage(page_id, page));
-  read_span.End();
   page->set_page_id(page_id);
   page->Pin();
   page_table_[page_id] = *frame;

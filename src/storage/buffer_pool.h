@@ -11,12 +11,9 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "obs/probe.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
-
-namespace sentinel::obs {
-class SpanTracer;
-}  // namespace sentinel::obs
 
 namespace sentinel::storage {
 
@@ -68,10 +65,11 @@ class BufferPool {
     return evictions_.load(std::memory_order_relaxed);
   }
 
-  /// Attaches the causal span tracer; disk reads on miss record page_read
-  /// spans.
-  void set_span_tracer(obs::SpanTracer* tracer) {
-    span_tracer_.store(tracer, std::memory_order_release);
+  /// Attaches the database's instruments; disk reads on miss are probed
+  /// (page_read span).
+  void set_instruments(const obs::Instruments& instruments) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ins_ = instruments;
   }
 
  private:
@@ -91,7 +89,7 @@ class BufferPool {
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
+  obs::Instruments ins_;  // guarded by mu_
 };
 
 }  // namespace sentinel::storage

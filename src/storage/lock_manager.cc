@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/span.h"
-
 namespace sentinel::storage {
 
 bool LockManager::CanGrantLocked(const LockState& state, TxnId txn,
@@ -58,11 +56,6 @@ bool LockManager::WouldDeadlockLocked(TxnId txn, const LockKey& key,
 }
 
 Status LockManager::Acquire(TxnId txn, const LockKey& key, LockMode mode) {
-  obs::Profiler* profiler = profiler_.load(std::memory_order_acquire);
-  obs::Profiler::ContentionSite* site =
-      (profiler != nullptr && profiler->enabled())
-          ? site_.load(std::memory_order_relaxed)
-          : nullptr;
   std::unique_lock<std::mutex> lock(mu_);
   auto& state_ptr = table_[key];
   if (state_ptr == nullptr) state_ptr = std::make_unique<LockState>();
@@ -77,24 +70,23 @@ Status LockManager::Acquire(TxnId txn, const LockKey& key, LockMode mode) {
   }
 
   const auto deadline = std::chrono::steady_clock::now() + options_.timeout;
-  obs::SpanScope wait_span;
-  std::uint64_t wait_start_ns = 0;
+  bool waited = false;
+  obs::Probe wait;
   while (!CanGrantLocked(state, txn, mode)) {
-    if (wait_start_ns == 0) {
+    if (!waited) {
       // First blocked iteration: open the wait window.
-      wait_start_ns = obs::SpanTracer::NowNs();
+      waited = true;
       waits_.fetch_add(1, std::memory_order_relaxed);
-      obs::SpanTracer* st = span_tracer_.load(std::memory_order_acquire);
-      if (st != nullptr && st->enabled_for(obs::SpanKind::kLockWait)) {
-        wait_span.Start(st, obs::SpanKind::kLockWait, txn, key);
-      }
+      wait.Start(ins_,
+                 {.span = obs::SpanKind::kLockWait,
+                  .txn = txn,
+                  .histogram = &wait_ns_,
+                  .site = site_},
+                 [&key] { return key; });
     }
     if (WouldDeadlockLocked(txn, key, mode)) {
       deadlocks_.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t waited = obs::SpanTracer::NowNs() - wait_start_ns;
-      wait_ns_.Record(waited);
-      if (site != nullptr) obs::Profiler::RecordSiteWait(site, waited);
-      wait_span.End();
+      wait.End();
       DeadlockHook hook = deadlock_hook_;
       lock.unlock();  // the hook snapshots this table; don't hold the latch
       if (hook) hook(txn, key);
@@ -107,19 +99,15 @@ Status LockManager::Acquire(TxnId txn, const LockKey& key, LockMode mode) {
     if (wait_status == std::cv_status::timeout &&
         !CanGrantLocked(state, txn, mode)) {
       timeouts_.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t waited = obs::SpanTracer::NowNs() - wait_start_ns;
-      wait_ns_.Record(waited);
-      if (site != nullptr) obs::Profiler::RecordSiteWait(site, waited);
+      wait.End();
       return Status::LockTimeout("txn " + std::to_string(txn) +
                                  " timed out waiting for " + key);
     }
   }
-  if (wait_start_ns != 0) {
-    const std::uint64_t waited = obs::SpanTracer::NowNs() - wait_start_ns;
-    wait_ns_.Record(waited);
-    if (site != nullptr) obs::Profiler::RecordSiteWait(site, waited);
+  wait.End();
+  if (site_ != nullptr && ins_.profiler->enabled()) {
+    obs::Profiler::RecordSiteAcquire(site_);
   }
-  if (site != nullptr) obs::Profiler::RecordSiteAcquire(site);
   state.holders[txn] = mode;
   return Status::OK();
 }

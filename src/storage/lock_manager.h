@@ -14,13 +14,8 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/probe.h"
 #include "storage/log_record.h"
-
-namespace sentinel::obs {
-class SpanTracer;
-}  // namespace sentinel::obs
 
 namespace sentinel::storage {
 
@@ -61,22 +56,15 @@ class LockManager {
   /// Number of distinct keys currently locked (tests/benchmarks).
   std::size_t locked_key_count() const;
 
-  /// Attaches the causal span tracer; blocking acquisitions record
-  /// lock_wait spans covering the full wait.
-  void set_span_tracer(obs::SpanTracer* tracer) {
-    span_tracer_.store(tracer, std::memory_order_release);
-  }
-
-  /// Attaches the continuous profiler: granted acquisitions and blocking
-  /// waits report into the "lock_manager" contention site (the wait window
-  /// already measured for the wait histogram is reused, so profiling adds no
-  /// extra clock reads on the wait path).
-  void set_profiler(obs::Profiler* profiler) {
-    site_.store(profiler != nullptr
-                    ? profiler->GetContentionSite("lock_manager")
-                    : nullptr,
-                std::memory_order_relaxed);
-    profiler_.store(profiler, std::memory_order_release);
+  /// Attaches the database's instruments. A blocking acquisition is probed
+  /// (lock_wait span, wait histogram, "lock_manager" contention-site wait);
+  /// every grant counts as a site acquisition while profiling.
+  void set_instruments(const obs::Instruments& instruments) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ins_ = instruments;
+    site_ = instruments.profiler != nullptr
+                ? instruments.profiler->GetContentionSite("lock_manager")
+                : nullptr;
   }
 
   /// Invoked (outside the table latch) when `txn` is chosen as a deadlock
@@ -140,9 +128,8 @@ class LockManager {
   std::unordered_map<TxnId, LockKey> waiting_for_;
   DeadlockHook deadlock_hook_;  // guarded by mu_
 
-  std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
-  std::atomic<obs::Profiler*> profiler_{nullptr};
-  std::atomic<obs::Profiler::ContentionSite*> site_{nullptr};
+  obs::Instruments ins_;                           // guarded by mu_
+  obs::Profiler::ContentionSite* site_ = nullptr;  // guarded by mu_
   std::atomic<std::uint64_t> waits_{0};
   std::atomic<std::uint64_t> deadlocks_{0};
   std::atomic<std::uint64_t> timeouts_{0};

@@ -9,7 +9,6 @@
 #include "common/crc32.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "obs/span.h"
 
 namespace sentinel::storage {
 
@@ -195,22 +194,13 @@ Status LogManager::WaitDurableLocked(std::unique_lock<std::mutex>& lock,
   if (wedged_) return WedgedStatusLocked();
   // Any caller reaching here blocks for a barrier: report the full wait
   // window (lead or follow) into the "wal.barrier" contention site.
-  obs::Profiler* profiler = profiler_.load(std::memory_order_acquire);
-  obs::Profiler::ContentionSite* site =
-      (profiler != nullptr && profiler->enabled())
-          ? site_.load(std::memory_order_relaxed)
-          : nullptr;
-  const std::uint64_t wait_t0 =
-      site != nullptr ? obs::SpanTracer::NowNs() : 0;
+  obs::Probe wait(ins_, {.site = site_});
   if (!group_thread_.joinable()) {
     // No group thread: run the barrier inline under the lock (the classic
     // one-fsync-per-commit path).
     Status inline_status = BarrierLocked(lock, /*release_during_fsync=*/false);
-    if (site != nullptr) {
-      obs::Profiler::RecordSiteAcquire(site);
-      obs::Profiler::RecordSiteWait(site,
-                                    obs::SpanTracer::NowNs() - wait_t0);
-    }
+    if (wait.profiling()) obs::Profiler::RecordSiteAcquire(site_);
+    wait.End();
     return inline_status;
   }
   group_commit_waits_.fetch_add(1, std::memory_order_relaxed);
@@ -222,11 +212,8 @@ Status LogManager::WaitDurableLocked(std::unique_lock<std::mutex>& lock,
   // commit appended while the previous fsync ran.
   for (;;) {
     if (durable_lsn_.load(std::memory_order_relaxed) >= lsn) {
-      if (site != nullptr) {
-        obs::Profiler::RecordSiteAcquire(site);
-        obs::Profiler::RecordSiteWait(site,
-                                      obs::SpanTracer::NowNs() - wait_t0);
-      }
+      if (wait.profiling()) obs::Profiler::RecordSiteAcquire(site_);
+      wait.End();
       return Status::OK();
     }
     if (wedged_) return WedgedStatusLocked();
@@ -266,16 +253,15 @@ Status LogManager::BarrierLocked(std::unique_lock<std::mutex>& lock,
       return injected;
     }
   }
-  obs::SpanScope fsync_span;
-  if (obs::SpanTracer* st = span_tracer_.load(std::memory_order_acquire);
-      st != nullptr && st->enabled_for(obs::SpanKind::kWalFsync)) {
-    fsync_span.Start(st, obs::SpanKind::kWalFsync, kInvalidTxnId,
-                     "wal.fsync");
+  // Failed barriers close only the span: the histogram and the
+  // commit_barrier seam count completed barriers (those sync_count() counts).
+  obs::Probe probe(
+      ins_, {.span = obs::SpanKind::kWalFsync, .histogram = &fsync_ns_},
+      [] { return "wal.fsync"; });
+  if (probe.profiling()) {
+    probe.set_cost(ins_.profiler->GlobalAccount(
+        obs::Profiler::GlobalSeam::kCommitBarrier));
   }
-  obs::Profiler* profiler = profiler_.load(std::memory_order_acquire);
-  const bool profiling = profiler != nullptr && profiler->enabled();
-  const std::uint64_t cpu0 = profiling ? obs::Profiler::ThreadCpuNs() : 0;
-  const std::uint64_t start_ns = obs::SpanTracer::NowNs();
   if (std::fflush(file_) != 0) {
     Status failed = Status::IOError("cannot flush log");
     WedgeLocked(failed);
@@ -308,12 +294,7 @@ Status LogManager::BarrierLocked(std::unique_lock<std::mutex>& lock,
   if (target > durable_lsn_.load(std::memory_order_relaxed)) {
     durable_lsn_.store(target, std::memory_order_release);
   }
-  const std::uint64_t barrier_wall = obs::SpanTracer::NowNs() - start_ns;
-  fsync_ns_.Record(barrier_wall);
-  if (profiling) {
-    profiler->RecordGlobal(obs::Profiler::GlobalSeam::kCommitBarrier,
-                           obs::Profiler::ThreadCpuNs() - cpu0, barrier_wall);
-  }
+  probe.End();
   sync_count_.fetch_add(1, std::memory_order_relaxed);
   durable_cv_.notify_all();
   return Status::OK();

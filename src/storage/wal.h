@@ -11,13 +11,8 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/probe.h"
 #include "storage/log_record.h"
-
-namespace sentinel::obs {
-class SpanTracer;
-}  // namespace sentinel::obs
 
 namespace sentinel::storage {
 
@@ -155,21 +150,16 @@ class LogManager {
   /// Latency distribution of the fsync barriers counted by sync_count().
   const obs::LatencyHistogram& fsync_histogram() const { return fsync_ns_; }
 
-  /// Attaches the causal span tracer; each fsync barrier records a
-  /// wal_fsync span.
-  void set_span_tracer(obs::SpanTracer* tracer) {
-    span_tracer_.store(tracer, std::memory_order_release);
-  }
-
-  /// Attaches the continuous profiler: each completed fsync barrier records
-  /// into the commit_barrier global seam, and forced appends that block for
-  /// a barrier report into the "wal.barrier" contention site.
-  void set_profiler(obs::Profiler* profiler) {
-    site_.store(profiler != nullptr
-                    ? profiler->GetContentionSite("wal.barrier")
-                    : nullptr,
-                std::memory_order_relaxed);
-    profiler_.store(profiler, std::memory_order_release);
+  /// Attaches the database's instruments. Each fsync barrier is probed
+  /// (wal_fsync span; fsync histogram and commit_barrier profiler seam when
+  /// it succeeds), and forced appends that block for a barrier report their
+  /// wait into the "wal.barrier" contention site.
+  void set_instruments(const obs::Instruments& instruments) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ins_ = instruments;
+    site_ = instruments.profiler != nullptr
+                ? instruments.profiler->GetContentionSite("wal.barrier")
+                : nullptr;
   }
 
  private:
@@ -215,9 +205,8 @@ class LogManager {
   std::atomic<std::uint64_t> sync_count_{0};
   std::atomic<std::uint64_t> group_commit_waits_{0};
   std::atomic<std::uint64_t> async_commits_{0};
-  std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
-  std::atomic<obs::Profiler*> profiler_{nullptr};
-  std::atomic<obs::Profiler::ContentionSite*> site_{nullptr};
+  obs::Instruments ins_;                        // guarded by mu_
+  obs::Profiler::ContentionSite* site_ = nullptr;  // guarded by mu_
   obs::LatencyHistogram fsync_ns_;
 };
 

@@ -14,11 +14,11 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "obs/probe.h"
 #include "storage/lock_manager.h"
 
 namespace sentinel::obs {
 class MetricSink;
-class SpanTracer;
 }  // namespace sentinel::obs
 
 namespace sentinel::txn {
@@ -86,10 +86,11 @@ class NestedTransactionManager {
   /// accounting for the rule metrics; harvested before commit/abort).
   std::uint64_t LockWaitNs(SubTxnId sub) const;
 
-  /// Attaches the causal span tracer; blocking nested acquisitions record
-  /// lock_wait spans.
-  void set_span_tracer(obs::SpanTracer* tracer) {
-    span_tracer_.store(tracer, std::memory_order_release);
+  /// Attaches the database's instruments; blocking nested acquisitions are
+  /// probed (lock_wait span; the interval accrues to LockWaitNs).
+  void set_instruments(const obs::Instruments& instruments) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ins_ = instruments;
   }
 
   /// Snapshot of the in-flight subtransactions (postmortems).
@@ -151,7 +152,7 @@ class NestedTransactionManager {
   // EndTop release retained locks without scanning the whole table.
   std::unordered_map<TopTxnId, std::vector<std::string>> retained_keys_;
   SubTxnId next_id_ = 1;
-  std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
+  obs::Instruments ins_;  // guarded by mu_
 };
 
 }  // namespace sentinel::txn

@@ -75,6 +75,7 @@ RemoteGedClient::Options FastClient(int port, const std::string& app,
 struct ChainCheck {
   int pushes = 0;     // client-side push-decode spans seen
   int connected = 0;  // of those, how many chain back to a notify encode
+  std::string broken;  // the first chain that does not, hop by hop
 };
 
 ChainCheck CheckPushChains(const std::vector<obs::Span>& spans) {
@@ -86,16 +87,27 @@ ChainCheck CheckPushChains(const std::vector<obs::Span>& spans) {
     if (s.label.rfind("push ", 0) != 0) continue;
     ++check.pushes;
     const obs::Span* cur = &s;
+    std::string chain;
+    bool connected = false;
     for (int hops = 0; hops < 64 && cur != nullptr; ++hops) {
+      chain += std::string(obs::SpanKindToString(cur->kind)) + " '" +
+               cur->label + "' #" + std::to_string(cur->id) + " -> ";
       if (cur->kind == obs::SpanKind::kNetFrameEncode &&
           cur->label.rfind("notify ", 0) == 0) {
-        if (cur->trace == s.trace && s.trace != 0) ++check.connected;
+        connected = cur->trace == s.trace && s.trace != 0;
+        if (!connected) chain += "(trace mismatch)";
         break;
       }
       const std::uint64_t up =
           cur->remote_parent != 0 ? cur->remote_parent : cur->parent;
       const auto it = by_id.find(up);
       cur = it == by_id.end() ? nullptr : it->second;
+      if (cur == nullptr) chain += "#" + std::to_string(up) + " not recorded";
+    }
+    if (connected) {
+      ++check.connected;
+    } else if (check.broken.empty()) {
+      check.broken = chain;
     }
   }
   return check;
@@ -318,7 +330,7 @@ TEST_F(NetChaosTest, TracedSupersedeKeepsTraceChainsConnected) {
   obs::SpanTracer tracer(1 << 16);
   tracer.set_mode(obs::TraceMode::kFull);
   ged::GlobalEventDetector ged;
-  ged.set_span_tracer(&tracer);
+  ged.set_instruments({.spans = &tracer});
   EventBusServer server(&ged);
   server.set_span_tracer(&tracer);
   ASSERT_TRUE(server.Start({}).ok());
@@ -360,14 +372,19 @@ TEST_F(NetChaosTest, TracedSupersedeKeepsTraceChainsConnected) {
   }
 
   // The push handler bumps `received` before its decode span commits to
-  // the ring, so poll until the spans land rather than racing the worker.
+  // the ring, and the server's ged_forward span (an ancestor of every push)
+  // commits only after its cascade has written the push to the socket. So
+  // poll until the spans land and every chain closes, rather than racing
+  // either thread.
   ChainCheck check;
-  ASSERT_TRUE(WaitUntil(
+  WaitUntil(
       [&] {
         check = CheckPushChains(tracer.Snapshot());
-        return check.pushes >= 5;
+        return check.pushes >= 5 && check.connected == check.pushes;
       },
-      std::chrono::seconds(10)));
+      std::chrono::seconds(10));
+  ASSERT_GE(check.pushes, 5);
+  SCOPED_TRACE("first broken chain: " + check.broken);
   EXPECT_EQ(check.connected, check.pushes)
       << "a delivered push lost its causal chain across the supersede";
 
@@ -385,7 +402,7 @@ TEST_F(NetChaosTest, TracedShedRetryKeepsTraceChainsConnected) {
   obs::SpanTracer tracer(1 << 16);
   tracer.set_mode(obs::TraceMode::kFull);
   ged::GlobalEventDetector ged;
-  ged.set_span_tracer(&tracer);
+  ged.set_instruments({.spans = &tracer});
   EventBusServer server(&ged);
   server.set_span_tracer(&tracer);
   EventBusServer::Options sopts;
@@ -438,14 +455,19 @@ TEST_F(NetChaosTest, TracedShedRetryKeepsTraceChainsConnected) {
   }
 
   // The push handler bumps `received` before its decode span commits to
-  // the ring, so poll until the spans land rather than racing the worker.
+  // the ring, and the server's ged_forward span (an ancestor of every push)
+  // commits only after its cascade has written the push to the socket. So
+  // poll until the spans land and every chain closes, rather than racing
+  // either thread.
   ChainCheck check;
-  ASSERT_TRUE(WaitUntil(
+  WaitUntil(
       [&] {
         check = CheckPushChains(tracer.Snapshot());
-        return check.pushes >= 1;
+        return check.pushes >= 1 && check.connected == check.pushes;
       },
-      std::chrono::seconds(10)));
+      std::chrono::seconds(10));
+  ASSERT_GE(check.pushes, 1);
+  SCOPED_TRACE("first broken chain: " + check.broken);
   EXPECT_EQ(check.connected, check.pushes)
       << "a delivered push lost its causal chain across shed/retry";
   EXPECT_GE(client.stats().sheds_received, 1u);

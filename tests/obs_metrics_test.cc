@@ -177,7 +177,7 @@ TEST(ObsTraceTest, FlushTxnDropsOnlyThatTxn) {
 TEST(ObsTraceTest, DetectorFlushTxnFlushesTrace) {
   LocalEventDetector det;
   ProvenanceTracer tracer;
-  det.set_tracer(&tracer);
+  det.set_instruments({.provenance = &tracer});
   tracer.set_enabled(true);
   ASSERT_TRUE(
       det.DefinePrimitive("e1", "C", EventModifier::kEnd, "void f()").ok());

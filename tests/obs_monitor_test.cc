@@ -12,10 +12,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -833,6 +835,168 @@ TEST(ObsMonitorE2ETest, StatsJsonKeepsEveryKeyPath) {
     };
     for (const char* path : kPaths) {
       EXPECT_EQ(paths.count(path), 1u) << "lost /stats key path " << path;
+    }
+    ASSERT_TRUE(db.Close().ok());
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+/// Family name -> label keys ("le" excluded) of a Prometheus text scrape,
+/// rendered "family{key,key}" and sorted. Histogram series fold into their
+/// family.
+std::vector<std::string> PromFamilyLabelKeys(const std::string& text) {
+  std::map<std::string, std::set<std::string>> families;
+  std::set<std::string> histograms;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream words(line);
+      std::string hash, tag, name, type;
+      words >> hash >> tag >> name >> type;
+      families[name];
+      if (type == "histogram") histograms.insert(name);
+      continue;
+    }
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t name_end = line.find_first_of("{ ");
+    std::string family = line.substr(0, name_end);
+    for (const char* suffix : {"_bucket", "_sum", "_count"}) {
+      const std::size_t n = std::strlen(suffix);
+      if (family.size() > n &&
+          family.compare(family.size() - n, n, suffix) == 0 &&
+          histograms.count(family.substr(0, family.size() - n)) > 0) {
+        family.resize(family.size() - n);
+      }
+    }
+    std::set<std::string>& keys = families[family];
+    if (name_end == std::string::npos || line[name_end] != '{') continue;
+    std::size_t i = name_end + 1;
+    while (i < line.size() && line[i] != '}') {
+      const std::size_t eq = line.find('=', i);
+      if (eq == std::string::npos) break;
+      const std::string key = line.substr(i, eq - i);
+      if (key != "le") keys.insert(key);
+      i = eq + 2;  // past ="
+      while (i < line.size() && line[i] != '"') i += line[i] == '\\' ? 2 : 1;
+      i += 1;  // closing quote
+      if (i < line.size() && line[i] == ',') ++i;
+    }
+  }
+  std::vector<std::string> out;
+  for (const auto& [family, keys] : families) {
+    std::string row = family + "{";
+    for (const std::string& key : keys) {
+      if (row.back() != '{') row += ',';
+      row += key;
+    }
+    out.push_back(row + "}");
+  }
+  return out;
+}
+
+// The /metrics family names and label keys of a file-backed database with
+// one composite rule and the profiler on, as they stood before the seams
+// moved onto obs::Probe. Dashboards and check_exposition.py --require key on
+// these names, so a rename, a lost family or a new one must show up here.
+TEST(ObsMonitorE2ETest, PrometheusFamiliesAndLabelKeysAreStable) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("sentinel_prom_families_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    ActiveDatabase db;
+    ASSERT_TRUE(db.Open(dir + "/db").ok());
+    db.profiler()->Start();
+    auto submit = db.DeclareEvent("ev_submit", "Order",
+                                  detector::EventModifier::kEnd,
+                                  "void submit()");
+    auto confirm = db.DeclareEvent("ev_confirm", "Order",
+                                   detector::EventModifier::kEnd,
+                                   "void confirm()");
+    ASSERT_TRUE(submit.ok());
+    ASSERT_TRUE(confirm.ok());
+    ASSERT_TRUE(db.detector()->DefineSeq("ev_seq", *submit, *confirm).ok());
+    ASSERT_TRUE(db.rule_manager()
+                    ->DefineRule(
+                        "seq_rule", "ev_seq",
+                        [](const rules::RuleContext&) { return true; },
+                        [](const rules::RuleContext&) {})
+                    .ok());
+    auto txn = db.Begin();
+    ASSERT_TRUE(txn.ok());
+    db.NotifyMethod("Order", 1, detector::EventModifier::kEnd,
+                    "void submit()", nullptr, *txn);
+    db.NotifyMethod("Order", 1, detector::EventModifier::kEnd,
+                    "void confirm()", nullptr, *txn);
+    ASSERT_TRUE(db.Commit(*txn).ok());
+    db.profiler()->Stop();
+
+    const std::vector<std::string> got =
+        PromFamilyLabelKeys(db.PrometheusText());
+    const std::vector<std::string> want = {
+        "sentinel_buffer_pool_capacity{}", "sentinel_buffer_pool_dirty{}",
+        "sentinel_buffer_pool_evictions_total{}",
+        "sentinel_buffer_pool_hits_total{}",
+        "sentinel_buffer_pool_misses_total{}",
+        "sentinel_buffer_pool_resident{}", "sentinel_detector_buffered{}",
+        "sentinel_detector_detections_total{}",
+        "sentinel_detector_flushed_total{}",
+        "sentinel_detector_notifications_total{}", "sentinel_disk_fsync_ns{}",
+        "sentinel_disk_io_retries_total{}", "sentinel_disk_pages{}",
+        "sentinel_disk_syncs_total{}", "sentinel_event_buffered{event,kind}",
+        "sentinel_event_context_refs{context,event,kind}",
+        "sentinel_event_detected_total{context,event,kind}",
+        "sentinel_event_received_total{context,event,kind}",
+        "sentinel_lock_deadlocks_total{}", "sentinel_lock_timeouts_total{}",
+        "sentinel_lock_wait_ns{}", "sentinel_lock_waiters{}",
+        "sentinel_lock_waits_total{}", "sentinel_nested_locked_keys{}",
+        "sentinel_nested_waiters{}", "sentinel_object_cache_hits_total{}",
+        "sentinel_object_cache_misses_total{}",
+        "sentinel_object_cache_resident{}", "sentinel_open_txns{}",
+        "sentinel_postmortems_total{}",
+        "sentinel_profile_contention_acquisitions_total{site}",
+        "sentinel_profile_contention_contended_total{site}",
+        "sentinel_profile_contention_wait_ns_total{site}",
+        "sentinel_profile_duration_ns{}", "sentinel_profile_mode{}",
+        "sentinel_profile_node_cpu_ns_total{node}",
+        "sentinel_profile_node_invocations_total{node}",
+        "sentinel_profile_node_wall_ns_total{node}",
+        "sentinel_profile_rule_cpu_ns_total{rule,seam}",
+        "sentinel_profile_rule_invocations_total{rule,seam}",
+        "sentinel_profile_rule_wall_ns_total{rule,seam}",
+        "sentinel_profile_samples_total{}",
+        "sentinel_profile_seam_wall_ns_total{seam}",
+        "sentinel_profile_symbol_cpu_ns_total{symbol}",
+        "sentinel_profile_symbol_events_total{symbol}",
+        "sentinel_profile_symbol_wall_ns_total{symbol}",
+        "sentinel_provenance_recorded_total{}",
+        "sentinel_rule_abort_ns{rule}", "sentinel_rule_action_ns{rule}",
+        "sentinel_rule_commit_ns{rule}", "sentinel_rule_condition_ns{rule}",
+        "sentinel_rule_fired_total{event,rule}",
+        "sentinel_rule_lock_wait_ns{rule}",
+        "sentinel_rules_abort_top_total{}",
+        "sentinel_rules_condition_rejections_total{}",
+        "sentinel_rules_executed_total{}", "sentinel_rules_failed_total{}",
+        "sentinel_scheduler_detached_pending{}",
+        "sentinel_scheduler_max_depth{}", "sentinel_scheduler_pending{}",
+        "sentinel_spans_dropped_total{}", "sentinel_spans_recorded_total{}",
+        "sentinel_subtxns_active{}", "sentinel_wal_appended_lsn{}",
+        "sentinel_wal_async_commits_total{}", "sentinel_wal_durable_lsn{}",
+        "sentinel_wal_fsync_ns{}", "sentinel_wal_group_commit_waits_total{}",
+        "sentinel_wal_syncs_total{}", "sentinel_wal_truncated_bytes_total{}",
+        "sentinel_wal_wedged{}",
+    };
+    for (const std::string& family : want) {
+      EXPECT_TRUE(std::binary_search(got.begin(), got.end(), family))
+          << "lost or relabelled /metrics family " << family;
+    }
+    for (const std::string& family : got) {
+      EXPECT_TRUE(std::binary_search(want.begin(), want.end(), family))
+          << "new /metrics family " << family;
     }
     ASSERT_TRUE(db.Close().ok());
   }

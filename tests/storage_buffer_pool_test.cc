@@ -89,6 +89,19 @@ TEST_F(BufferPoolTest, AllPinnedExhaustsPool) {
   EXPECT_TRUE(p4.ok());
 }
 
+// A failed disk read must hand its frame back: four failed fetches on a
+// four-frame pool used to leave no frame at all for NewPage.
+TEST_F(BufferPoolTest, FailedReadReturnsItsFrame) {
+  BufferPool pool(&disk_, 4);
+  for (PageId id = 100; id < 104; ++id) {
+    EXPECT_FALSE(pool.FetchPage(id).ok()) << "page " << id << " is unallocated";
+  }
+  EXPECT_EQ(pool.resident_count(), 0u);
+  auto page = pool.NewPage();
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  EXPECT_TRUE(pool.UnpinPage((*page)->page_id(), true).ok());
+}
+
 TEST_F(BufferPoolTest, UnpinErrors) {
   BufferPool pool(&disk_, 2);
   EXPECT_FALSE(pool.UnpinPage(99, false).ok());
