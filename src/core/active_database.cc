@@ -173,8 +173,7 @@ Status ActiveDatabase::Close() {
   // Tear down the monitoring plane next: its sampler thread and request
   // handlers read every component released below.
   StopMonitoring();
-  // Join the profiler's sampler before component teardown so it never walks
-  // a worker annotation mid-join. Accounts stay readable after Stop.
+  // Profiling ends with the database; accounts stay readable after Stop.
   profiler_.Stop();
   if (scheduler_ != nullptr) {
     scheduler_->Drain();

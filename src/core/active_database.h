@@ -252,8 +252,7 @@ class ActiveDatabase {
   obs::SpanTracer span_tracer_;
   obs::FlightRecorder flight_recorder_;
   // Like the tracers, the profiler precedes the components: nodes and
-  // storage components cache account/site pointers into it, and worker
-  // threads unregister from its sampler during component teardown.
+  // storage components cache account/site pointers into it.
   obs::Profiler profiler_;
   std::unique_ptr<oodb::Database> db_;
   std::unique_ptr<oodb::ObjectCache> cache_;

@@ -1,5 +1,7 @@
 #include "detector/event_log.h"
 
+#include <unistd.h>
+
 #include "detector/local_detector.h"
 
 namespace sentinel::detector {
@@ -8,11 +10,55 @@ EventLog::~EventLog() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
+namespace {
+
+/// Decodes the length-prefixed frames of `file` from its start, appending
+/// them to `out` when non-null, and returns the offset just past the last
+/// complete, decodable frame. A torn frame, a size prefix larger than the
+/// bytes left in the file (refused before anything is allocated) or bytes
+/// that do not decode end the scan. Leaves the position at the file's end.
+long ScanFrames(std::FILE* file, std::vector<PrimitiveOccurrence>* out) {
+  std::fseek(file, 0, SEEK_END);
+  const long file_size = std::ftell(file);
+  std::fseek(file, 0, SEEK_SET);
+  long end = 0;
+  for (;;) {
+    std::uint32_t size = 0;
+    if (std::fread(&size, sizeof(size), 1, file) != 1) break;
+    const long frame_end = end + static_cast<long>(sizeof(size)) +
+                           static_cast<long>(size);
+    if (frame_end > file_size) break;
+    std::vector<std::uint8_t> buf(size);
+    if (size > 0 && std::fread(buf.data(), size, 1, file) != 1) break;
+    BytesReader reader(buf);
+    auto occ = EventLog::Deserialize(&reader);
+    if (!occ.ok()) break;
+    if (out != nullptr) out->push_back(std::move(*occ));
+    end = frame_end;
+  }
+  std::fseek(file, 0, SEEK_END);
+  return end;
+}
+
+}  // namespace
+
 Status EventLog::OpenFile(const std::string& path) {
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ != nullptr) return Status::InvalidArgument("event log already open");
-  file_ = std::fopen(path.c_str(), "a+b");
-  if (file_ == nullptr) return Status::IOError("cannot open event log " + path);
+  std::FILE* file = std::fopen(path.c_str(), "a+b");
+  if (file == nullptr) return Status::IOError("cannot open event log " + path);
+  // A crash mid-Record leaves a torn frame at the tail. Appending after it
+  // would hide every later record from Load, so cut the file back to its
+  // last complete frame first.
+  const long valid = ScanFrames(file, nullptr);
+  if (valid < std::ftell(file)) {
+    if (::ftruncate(::fileno(file), valid) != 0) {
+      std::fclose(file);
+      return Status::IOError("cannot truncate torn tail of event log " + path);
+    }
+    std::fseek(file, 0, SEEK_END);
+  }
+  file_ = file;
   path_ = path;
   return Status::OK();
 }
@@ -115,18 +161,7 @@ Result<std::vector<PrimitiveOccurrence>> EventLog::Load() const {
   if (file_ == nullptr) return memory_;
   std::vector<PrimitiveOccurrence> result;
   std::fflush(file_);
-  std::fseek(file_, 0, SEEK_SET);
-  for (;;) {
-    std::uint32_t size = 0;
-    if (std::fread(&size, sizeof(size), 1, file_) != 1) break;
-    std::vector<std::uint8_t> buf(size);
-    if (size > 0 && std::fread(buf.data(), size, 1, file_) != 1) break;
-    BytesReader reader(buf);
-    auto occ = Deserialize(&reader);
-    if (!occ.ok()) break;
-    result.push_back(std::move(*occ));
-  }
-  std::fseek(file_, 0, SEEK_END);
+  ScanFrames(file_, &result);
   return result;
 }
 

@@ -12,17 +12,11 @@ void Probe::Open(const Instruments& in, const Seam& seam,
   }
 }
 
-void Probe::Annotate(const char* thread_name, const char* frame) {
-  if (profiler_ == nullptr || frame_.has_value()) return;
-  frame_.emplace(profiler_, profiler_->EnsureThisThread(thread_name), frame);
-}
-
 std::uint64_t Probe::Close(bool completed) {
   timed_ = false;
   if (profiler_ != nullptr) cpu_ns_ = Profiler::ThreadCpuNs() - cpu0_;
   const std::uint64_t t1 = SpanTracer::NowNs();
   const std::uint64_t wall = t1 - t0_;
-  frame_.reset();
   span_.End(t1);
   if (!completed) return wall;
   if (histogram_ != nullptr) histogram_->Record(wall);

@@ -83,12 +83,9 @@ class Probe {
     span_.AnnotateRemote(trace, remote_parent);
   }
 
-  /// The profiler gate passed: resolve lazily-created accounts (set_cost)
-  /// and push a sampler frame (popped at End) on this thread, which is
-  /// registered with the sampler as `thread_name`-N on first use.
+  /// The profiler gate passed: resolve lazily-created accounts (set_cost).
   bool profiling() const { return profiler_ != nullptr; }
   void set_cost(Profiler::CostCell* cost) { cost_ = cost; }
-  void Annotate(const char* thread_name, const char* frame);
 
   /// Closes a completed interval and returns its wall nanoseconds (0 when
   /// no sink was live and the seam is not `timed`; a second call records
@@ -119,7 +116,6 @@ class Probe {
   std::uint64_t Close(bool completed);
 
   SpanScope span_;
-  std::optional<Profiler::AnnotationScope> frame_;
   Profiler* profiler_ = nullptr;  // set only when the profiler gate passed
   LatencyHistogram* histogram_ = nullptr;
   Profiler::CostCell* cost_ = nullptr;

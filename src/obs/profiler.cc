@@ -4,73 +4,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
 
 #include "detector/event_types.h"
 #include "obs/json.h"
 #include "obs/metric_sink.h"
 
 namespace sentinel::obs {
-
-namespace {
-
-/// Sampling period. Odd (not a round millisecond) so the sampler does not
-/// phase-lock with millisecond-periodic workloads.
-constexpr std::chrono::microseconds kSampleInterval{997};
-
-/// Process-wide map of live profilers by id (leaked statics so thread-exit
-/// destructors may consult them at any time). EnsureThisThread registers
-/// arbitrary executing threads — including application threads that outlive
-/// the database — so the thread-exit unregistration must first check that
-/// the owning profiler still exists. Ids are never reused: a new profiler
-/// allocated where a destroyed one lived must not inherit its threads.
-std::mutex& AliveMutex() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-std::unordered_map<std::uint64_t, Profiler*>& Alive() {
-  static auto* alive = new std::unordered_map<std::uint64_t, Profiler*>();
-  return *alive;
-}
-
-void UnregisterIfAlive(std::uint64_t id,
-                       Profiler::ThreadAnnotations* annotations) {
-  // Holding the alive mutex across the unregister pins ~Profiler (which
-  // erases itself under the same mutex before tearing anything down), so the
-  // call below never races destruction.
-  std::lock_guard<std::mutex> lock(AliveMutex());
-  auto it = Alive().find(id);
-  if (it != Alive().end()) it->second->UnregisterThread(annotations);
-}
-
-/// Thread-local registration handle for EnsureThisThread: unregisters at
-/// thread exit. One slot per thread is enough — workers belong to exactly
-/// one database (and therefore one profiler) at a time.
-struct ThreadRegistration {
-  std::uint64_t owner = 0;  // the owning profiler's id; 0 = none
-  Profiler::ThreadAnnotations* annotations = nullptr;
-  ~ThreadRegistration() {
-    if (owner != 0) UnregisterIfAlive(owner, annotations);
-  }
-};
-thread_local ThreadRegistration t_registration;
-
-}  // namespace
-
-Profiler::Profiler() {
-  static std::uint64_t last_id = 0;  // guarded by AliveMutex
-  std::lock_guard<std::mutex> lock(AliveMutex());
-  id_ = ++last_id;
-  Alive().emplace(id_, this);
-}
-
-Profiler::~Profiler() {
-  {
-    std::lock_guard<std::mutex> lock(AliveMutex());
-    Alive().erase(id_);
-  }
-  Stop();
-}
 
 std::uint64_t Profiler::NowNs() {
   return static_cast<std::uint64_t>(
@@ -117,7 +56,6 @@ void Profiler::Start() {
   if (mode_.load(std::memory_order_relaxed) == Mode::kOn) return;
   enabled_since_ns_.store(NowNs(), std::memory_order_relaxed);
   mode_.store(Mode::kOn, std::memory_order_relaxed);
-  StartSamplerLocked();
 }
 
 void Profiler::Stop() {
@@ -127,7 +65,6 @@ void Profiler::Stop() {
   active_ns_.fetch_add(
       NowNs() - enabled_since_ns_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
-  StopSamplerLocked();
 }
 
 std::uint64_t Profiler::duration_ns() const {
@@ -168,11 +105,6 @@ void Profiler::Reset() {
       site->wait_ns.Reset();
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(folded_mu_);
-    folded_.clear();
-  }
-  samples_.store(0, std::memory_order_relaxed);
   active_ns_.store(0, std::memory_order_relaxed);
   enabled_since_ns_.store(NowNs(), std::memory_order_relaxed);
 }
@@ -308,120 +240,6 @@ std::vector<Profiler::ContentionSnapshot> Profiler::TopContended(
   return all;
 }
 
-// -- Feed 3: wall-clock sampling ---------------------------------------------
-
-Profiler::ThreadAnnotations* Profiler::RegisterThread(std::string name) {
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  thread_storage_.emplace_back();
-  ThreadAnnotations* thread = &thread_storage_.back();
-  thread->name_ = std::move(name);
-  active_threads_.push_back(thread);
-  return thread;
-}
-
-void Profiler::UnregisterThread(ThreadAnnotations* thread) {
-  if (thread == nullptr) return;
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  thread->active_.store(false, std::memory_order_relaxed);
-  active_threads_.erase(
-      std::remove(active_threads_.begin(), active_threads_.end(), thread),
-      active_threads_.end());
-}
-
-Profiler::ThreadAnnotations* Profiler::EnsureThisThread(
-    const char* name_prefix) {
-  if (t_registration.owner == id_) return t_registration.annotations;
-  if (t_registration.owner != 0) {
-    UnregisterIfAlive(t_registration.owner, t_registration.annotations);
-    t_registration.owner = 0;
-  }
-  std::string name;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    name = std::string(name_prefix) + "-" +
-           std::to_string(thread_storage_.size());
-  }
-  t_registration.annotations = RegisterThread(std::move(name));
-  t_registration.owner = id_;
-  return t_registration.annotations;
-}
-
-const char* Profiler::InternFrame(const std::string& frame) {
-  std::lock_guard<std::mutex> lock(frames_mu_);
-  return interned_frames_.insert(frame).first->c_str();
-}
-
-void Profiler::StartSamplerLocked() {
-  {
-    std::lock_guard<std::mutex> lock(sampler_mu_);
-    if (sampler_running_) return;
-    sampler_stop_ = false;
-    sampler_running_ = true;
-  }
-  sampler_ = std::thread([this] { SamplerLoop(); });
-}
-
-void Profiler::StopSamplerLocked() {
-  {
-    std::lock_guard<std::mutex> lock(sampler_mu_);
-    if (!sampler_running_) return;
-    sampler_stop_ = true;
-  }
-  sampler_cv_.notify_all();
-  if (sampler_.joinable()) sampler_.join();
-  std::lock_guard<std::mutex> lock(sampler_mu_);
-  sampler_running_ = false;
-}
-
-void Profiler::SamplerLoop() {
-  std::unique_lock<std::mutex> lock(sampler_mu_);
-  while (!sampler_stop_) {
-    sampler_cv_.wait_for(lock, kSampleInterval,
-                         [this] { return sampler_stop_; });
-    if (sampler_stop_) break;
-    lock.unlock();
-    SampleOnce();
-    lock.lock();
-  }
-}
-
-void Profiler::SampleOnce() {
-  // Snapshot the registry under the lock, read the (atomic) stacks outside
-  // it: annotation storage lives until the profiler dies, so a concurrent
-  // unregister at worst yields one sample of an empty stack.
-  std::vector<ThreadAnnotations*> threads;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    threads = active_threads_;
-  }
-  samples_.fetch_add(1, std::memory_order_relaxed);
-  for (ThreadAnnotations* thread : threads) {
-    const int depth = thread->depth_.load(std::memory_order_acquire);
-    if (depth <= 0) continue;
-    std::string key = thread->name_;
-    for (int i = 0; i < depth && i < kMaxAnnotationDepth; ++i) {
-      const char* frame = thread->frames_[i].load(std::memory_order_relaxed);
-      if (frame == nullptr) break;
-      key += ';';
-      key += frame;
-    }
-    std::lock_guard<std::mutex> lock(folded_mu_);
-    ++folded_[key];
-  }
-}
-
-std::string Profiler::FoldedStacks() const {
-  std::string out;
-  std::lock_guard<std::mutex> lock(folded_mu_);
-  for (const auto& [stack, count] : folded_) {
-    out += stack;
-    out += ' ';
-    out += std::to_string(count);
-    out += '\n';
-  }
-  return out;
-}
-
 // -- Snapshots & export ------------------------------------------------------
 
 std::vector<Profiler::RuleSnapshot> Profiler::RuleSnapshots() const {
@@ -470,6 +288,50 @@ std::vector<Profiler::SymbolSnapshot> Profiler::SymbolSnapshots() const {
   return out;
 }
 
+namespace {
+
+/// One folded line per rule seam with nonzero wall time ("rule;seam
+/// wall_ns"), in rule-name order: FoldedStacks and the /profile "folded"
+/// array render the same lines.
+std::vector<std::string> FoldedLines(
+    const std::vector<Profiler::RuleSnapshot>& rules) {
+  std::vector<std::string> lines;
+  for (const Profiler::RuleSnapshot& rule : rules) {
+    for (int i = 0; i < Profiler::kRuleSeams; ++i) {
+      if (rule.seams[i].wall_ns == 0) continue;
+      lines.push_back(
+          rule.name + ";" +
+          Profiler::RuleSeamName(static_cast<Profiler::RuleSeam>(i)) + " " +
+          std::to_string(rule.seams[i].wall_ns));
+    }
+  }
+  return lines;
+}
+
+/// The rule-seam intervals the folded lines sum.
+std::uint64_t Invocations(const std::vector<Profiler::RuleSnapshot>& rules) {
+  std::uint64_t total = 0;
+  for (const Profiler::RuleSnapshot& rule : rules) {
+    for (const Profiler::CostSnapshot& seam : rule.seams) {
+      total += seam.invocations;
+    }
+  }
+  return total;
+}
+
+}  // namespace
+
+std::string Profiler::FoldedStacks() const {
+  std::string out;
+  for (const std::string& line : FoldedLines(RuleSnapshots())) {
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+std::uint64_t Profiler::samples() const { return Invocations(RuleSnapshots()); }
+
 Profiler::CostSnapshot Profiler::GlobalSnapshot(GlobalSeam seam) const {
   return global_[static_cast<int>(seam)].Snap();
 }
@@ -505,10 +367,12 @@ std::string Profiler::ProfileJson() const {
   w.BeginObject();
   w.Field("mode", enabled() ? "on" : "off");
   w.Field("duration_ns", duration_ns());
-  w.Field("samples", samples());
+  // One snapshot feeds "samples", "rules" and "folded", so they agree.
+  const std::vector<RuleSnapshot> rules = RuleSnapshots();
+  w.Field("samples", Invocations(rules));
 
   w.Key("rules").BeginArray();
-  for (const RuleSnapshot& rule : RuleSnapshots()) {
+  for (const RuleSnapshot& rule : rules) {
     w.BeginObject();
     w.Field("name", rule.name);
     for (int i = 0; i < kRuleSeams; ++i) {
@@ -566,12 +430,7 @@ std::string Profiler::ProfileJson() const {
   w.EndArray();
 
   w.Key("folded").BeginArray();
-  {
-    std::lock_guard<std::mutex> lock(folded_mu_);
-    for (const auto& [stack, count] : folded_) {
-      w.Value(stack + " " + std::to_string(count));
-    }
-  }
+  for (const std::string& line : FoldedLines(rules)) w.Value(line);
   w.EndArray();
 
   w.EndObject();
@@ -584,12 +443,15 @@ void Profiler::WriteMetrics(MetricSink& s) const {
   s.Gauge({"sentinel_profile_duration_ns",
            "Cumulative nanoseconds profiling has been enabled", "duration_ns"},
           duration_ns());
+  const std::vector<RuleSnapshot> rules = RuleSnapshots();
   s.Counter({"sentinel_profile_samples_total",
-             "Wall-clock sampler ticks taken", "samples"},
-            samples());
+             "Rule seam intervals the folded stacks sum (rule cell"
+             " invocations)",
+             "samples"},
+            Invocations(rules));
 
   s.OpenList("rules");
-  for (const RuleSnapshot& rule : RuleSnapshots()) {
+  for (const RuleSnapshot& rule : rules) {
     s.OpenItem();
     s.Info("name", rule.name);
     for (int i = 0; i < kRuleSeams; ++i) {

@@ -3,16 +3,13 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/symbol.h"
@@ -24,7 +21,7 @@ class MetricSink;
 
 /// Continuous profiling plane (DESIGN.md §15). Opt-in (off by default) and
 /// always cheap when off: every feed is gated on one relaxed load of the
-/// mode, the same budget discipline as SpanTracer. Three feeds:
+/// mode, the same budget discipline as SpanTracer. Two feeds:
 ///
 ///   1. *Exact attribution* — the obs::Probe at each attributed seam
 ///      (condition, action, commit, operator-node evaluation, event dispatch,
@@ -37,9 +34,9 @@ class MetricSink;
 ///      lock manager and the WAL group-commit barrier report try-then-wait
 ///      accounting (acquisitions, contended acquisitions, summed wait-ns)
 ///      into named contention sites; TopContended() is the top-K table.
-///   3. *Wall-clock sampling* — a sampler thread walks registered worker
-///      annotation stacks at ~1kHz and accumulates collapsed-stack
-///      ("folded") lines consumable by standard flamegraph tooling.
+///
+/// The folded-stack export (FoldedStacks) is rendered from the feed-1 rule
+/// cells, weighted by exact wall nanoseconds.
 ///
 /// Accounts are never erased while the profiler lives (Reset zeroes counters
 /// in place), so cached account/site pointers held by nodes and storage
@@ -48,8 +45,7 @@ class Profiler {
  public:
   enum class Mode : std::uint8_t { kOff = 0, kOn = 1 };
 
-  Profiler();
-  ~Profiler();
+  Profiler() = default;
 
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
@@ -60,12 +56,12 @@ class Profiler {
   }
   Mode mode() const { return mode_.load(std::memory_order_relaxed); }
 
-  /// Enables all three feeds and starts the sampler thread. Idempotent.
+  /// Enables the feeds and starts the duration clock. Idempotent.
   void Start();
-  /// Disables the feeds and joins the sampler thread. Idempotent.
+  /// Disables the feeds and stops the duration clock. Idempotent.
   void Stop();
-  /// Zeroes every account, contention site and folded sample in place
-  /// (pointers stay valid). Sharded-counter Reset races concurrent writers
+  /// Zeroes every account and contention site in place (pointers stay
+  /// valid). Sharded-counter Reset races concurrent writers
   /// (see ShardedCounter::Reset); call while profiling is off or accept a
   /// benign undercount.
   void Reset();
@@ -199,79 +195,6 @@ class Profiler {
   /// zero acquisitions are skipped.
   std::vector<ContentionSnapshot> TopContended(std::size_t k) const;
 
-  // -- Feed 3: wall-clock sampling -------------------------------------------
-
-  static constexpr int kMaxAnnotationDepth = 8;
-
-  /// One worker thread's annotation stack. Frames are pointers to strings
-  /// with static or profiler-interned storage, pushed/popped only by the
-  /// owning thread; the sampler reads them with acquire/relaxed loads. A
-  /// racing pop/push can make the sampler read a just-replaced frame — the
-  /// sample lands one frame off, which sampling tolerates by design.
-  class ThreadAnnotations {
-   public:
-    const std::string& name() const { return name_; }
-
-   private:
-    friend class Profiler;
-    std::string name_;
-    std::array<std::atomic<const char*>, kMaxAnnotationDepth> frames_{};
-    std::atomic<int> depth_{0};
-    std::atomic<bool> active_{true};
-  };
-
-  /// Registers the calling worker with the sampler. The returned pointer is
-  /// valid until UnregisterThread (the storage lives until the profiler is
-  /// destroyed).
-  ThreadAnnotations* RegisterThread(std::string name);
-  void UnregisterThread(ThreadAnnotations* thread);
-
-  /// Thread-local get-or-register for worker loops that cannot know at spawn
-  /// time whether a profiler is attached. Unregisters automatically at
-  /// thread exit; the profiler must outlive the worker (it does: the
-  /// database destroys components — and joins their workers — before the
-  /// profiler).
-  ThreadAnnotations* EnsureThisThread(const char* name_prefix);
-
-  /// Interns a dynamic frame label (rule names) into storage that outlives
-  /// every sample referring to it.
-  const char* InternFrame(const std::string& frame);
-
-  /// RAII annotation frame. Inert when the gate is off or the stack is full.
-  class AnnotationScope {
-   public:
-    AnnotationScope(const Profiler* profiler, ThreadAnnotations* thread,
-                    const char* frame) {
-      if (profiler == nullptr || thread == nullptr || !profiler->enabled()) {
-        return;
-      }
-      const int depth = thread->depth_.load(std::memory_order_relaxed);
-      if (depth >= kMaxAnnotationDepth) return;
-      thread->frames_[depth].store(frame, std::memory_order_relaxed);
-      thread->depth_.store(depth + 1, std::memory_order_release);
-      thread_ = thread;
-    }
-    ~AnnotationScope() {
-      if (thread_ == nullptr) return;
-      thread_->depth_.store(
-          thread_->depth_.load(std::memory_order_relaxed) - 1,
-          std::memory_order_release);
-    }
-
-    AnnotationScope(const AnnotationScope&) = delete;
-    AnnotationScope& operator=(const AnnotationScope&) = delete;
-
-   private:
-    ThreadAnnotations* thread_ = nullptr;
-  };
-
-  /// Collapsed-stack lines ("thread;frame;frame count\n"), the input format
-  /// of standard flamegraph tooling.
-  std::string FoldedStacks() const;
-  std::uint64_t samples() const {
-    return samples_.load(std::memory_order_relaxed);
-  }
-
   // -- Snapshots & export ----------------------------------------------------
 
   struct RuleSnapshot {
@@ -299,6 +222,13 @@ class Profiler {
   std::vector<SymbolSnapshot> SymbolSnapshots() const;
   CostSnapshot GlobalSnapshot(GlobalSeam seam) const;
 
+  /// Collapsed-stack lines ("rule;seam wall_ns\n", one per rule seam with
+  /// nonzero wall time, in rule-name order), the input format of standard
+  /// flamegraph tooling.
+  std::string FoldedStacks() const;
+  /// The rule-seam intervals those lines sum: the rule cells' invocations.
+  std::uint64_t samples() const;
+
   /// Nanoseconds profiling has been enabled (cumulative across start/stop).
   std::uint64_t duration_ns() const;
 
@@ -322,12 +252,6 @@ class Profiler {
 
   SymbolCost* GetSymbolCost(common::SymbolId sym);
 
-  void SamplerLoop();
-  void SampleOnce();
-  void StartSamplerLocked();
-  void StopSamplerLocked();
-
-  std::uint64_t id_ = 0;  // unique for the process lifetime (see .cc)
   std::atomic<Mode> mode_{Mode::kOff};
   std::mutex lifecycle_mu_;
   std::atomic<std::uint64_t> enabled_since_ns_{0};
@@ -346,23 +270,6 @@ class Profiler {
 
   mutable std::shared_mutex sites_mu_;
   std::map<std::string, std::unique_ptr<ContentionSite>> sites_;
-
-  mutable std::mutex threads_mu_;
-  std::deque<ThreadAnnotations> thread_storage_;
-  std::vector<ThreadAnnotations*> active_threads_;
-
-  mutable std::mutex frames_mu_;
-  std::set<std::string> interned_frames_;
-
-  mutable std::mutex folded_mu_;
-  std::map<std::string, std::uint64_t> folded_;
-  std::atomic<std::uint64_t> samples_{0};
-
-  std::mutex sampler_mu_;
-  std::condition_variable sampler_cv_;
-  bool sampler_stop_ = false;
-  bool sampler_running_ = false;
-  std::thread sampler_;
 };
 
 }  // namespace sentinel::obs

@@ -15,9 +15,6 @@ namespace {
 thread_local RuleScheduler::Frame* t_frame = nullptr;
 thread_local RuleScheduler::BatchScope* t_batch_scope = nullptr;
 
-/// Sampler thread name of the workers that execute rules.
-constexpr char kExecThread[] = "rule-exec";
-
 /// Lexicographic priority order: larger element wins; a path extending a
 /// prefix wins over the prefix (depth-first).
 bool PathLess(const std::vector<int>& a, const std::vector<int>& b) {
@@ -224,7 +221,7 @@ void RuleScheduler::Execute(Firing firing) {
   // a different thread, so the per-thread scope stack cannot supply it).
   // The probe stays open across commit/abort below so the span covers the
   // whole firing lifecycle; condition/action child spans nest inside it via
-  // this thread's scope stack, and the sampler sees the rule's frame.
+  // this thread's scope stack.
   obs::Probe firing_probe(ins_,
                           {.span = obs::SpanKind::kSubTxn,
                            .txn = firing.txn,
@@ -233,11 +230,7 @@ void RuleScheduler::Execute(Firing firing) {
                           [rule] { return rule->name(); });
   // The per-rule profiler cells the seam probes below record into.
   obs::Profiler::RuleCost* cost = nullptr;
-  if (firing_probe.profiling()) {
-    firing_probe.Annotate(kExecThread,
-                          ins_.profiler->InternFrame(rule->name()));
-    cost = ins_.profiler->GetRuleCost(rule->name());
-  }
+  if (firing_probe.profiling()) cost = ins_.profiler->GetRuleCost(rule->name());
   auto seam_cost = [cost](obs::Profiler::RuleSeam seam) {
     return cost != nullptr ? &cost->seams[static_cast<int>(seam)] : nullptr;
   };
@@ -283,7 +276,6 @@ void RuleScheduler::Execute(Firing firing) {
                    .histogram = &rule->metrics().condition_ns,
                    .cost = seam_cost(obs::Profiler::RuleSeam::kCondition)},
             [rule] { return rule->name() + ".condition"; });
-        probe.Annotate(kExecThread, "condition");
         condition_held = rule->condition()(ctx);
         own_wall += probe.End();
         own_cpu += probe.cpu_ns();
@@ -296,7 +288,6 @@ void RuleScheduler::Execute(Firing firing) {
                    .histogram = &rule->metrics().action_ns,
                    .cost = seam_cost(obs::Profiler::RuleSeam::kAction)},
             [rule] { return rule->name() + ".action"; });
-        probe.Annotate(kExecThread, "action");
         rule->action()(ctx);
         own_wall += probe.End();
         own_cpu += probe.cpu_ns();

@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include <shared_mutex>
 #include <string>
 
 #include "common/failpoint.h"
@@ -79,27 +80,56 @@ Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
 }
 
 Status BufferPool::FlushPage(PageId page_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = page_table_.find(page_id);
-  if (it == page_table_.end()) return Status::OK();
-  Page* page = frames_[it->second].get();
-  if (page->is_dirty()) {
-    SENTINEL_RETURN_NOT_OK(disk_->WritePage(*page));
-    page->set_dirty(false);
+  std::vector<std::size_t> dirty;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = page_table_.find(page_id);
+    if (it != page_table_.end()) TakeDirtyLocked(it->second, &dirty);
   }
-  return Status::OK();
+  return WriteBack(dirty);
 }
 
 Status BufferPool::FlushAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [page_id, frame] : page_table_) {
-    Page* page = frames_[frame].get();
-    if (page->is_dirty()) {
-      SENTINEL_RETURN_NOT_OK(disk_->WritePage(*page));
-      page->set_dirty(false);
+  std::vector<std::size_t> dirty;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [page_id, frame] : page_table_) {
+      (void)page_id;
+      TakeDirtyLocked(frame, &dirty);
     }
   }
-  return Status::OK();
+  return WriteBack(dirty);
+}
+
+void BufferPool::TakeDirtyLocked(std::size_t frame,
+                                 std::vector<std::size_t>* out) {
+  Page* page = frames_[frame].get();
+  if (!page->is_dirty()) return;
+  // Pinned, the page cannot be evicted while WriteBack waits for its latch.
+  // Clearing the flag now (not after the write) keeps a change made during
+  // the write: its unpin marks the page dirty again.
+  page->Pin();
+  page->set_dirty(false);
+  out->push_back(frame);
+}
+
+Status BufferPool::WriteBack(const std::vector<std::size_t>& frames) {
+  // Runs without mu_: a writer holding a page latch may be waiting for mu_
+  // (HeapFile::Insert calls NewPage), so the pool must not wait for that
+  // latch while holding it.
+  Status result;
+  for (std::size_t frame : frames) {
+    Page* page = frames_[frame].get();
+    if (result.ok()) {
+      std::shared_lock<std::shared_mutex> latch(page->latch());
+      result = disk_->WritePage(*page);
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    page->Unpin();
+    // After a failure, this page and the unwritten rest stay dirty.
+    if (!result.ok()) page->set_dirty(true);
+  }
+  return result;
 }
 
 std::size_t BufferPool::resident_count() const {
@@ -131,6 +161,7 @@ Result<std::size_t> BufferPool::GetFreeFrameLocked() {
     if (page->is_dirty()) {
       // Eviction writes a dirty page outside any commit path; a failure
       // here must surface to the caller, never silently drop the page.
+      // Unpinned, the page has no latch holder, so no latch is taken.
       SENTINEL_FAILPOINT("bufferpool.evict");
       SENTINEL_RETURN_NOT_OK(disk_->WritePage(*page));
       page->set_dirty(false);

@@ -20,9 +20,11 @@ namespace sentinel::storage {
 /// Fixed-capacity page cache with LRU replacement of unpinned frames.
 ///
 /// Callers must bracket page use with Fetch/New and Unpin; a pinned frame is
-/// never evicted. Thread-safe via a single pool latch (adequate for the
-/// workloads Sentinel drives through it; the active layer is the hot path,
-/// not the buffer pool).
+/// never evicted. The frame table is guarded by a single pool mutex
+/// (adequate for the workloads Sentinel drives through it; the active layer
+/// is the hot path, not the buffer pool); page contents by each page's latch
+/// (Page::latch). The pool never waits for a page latch while it holds its
+/// mutex.
 class BufferPool {
  public:
   BufferPool(DiskManager* disk, std::size_t capacity);
@@ -77,6 +79,12 @@ class BufferPool {
   // Requires mu_ held.
   Result<std::size_t> GetFreeFrameLocked();
   void TouchLocked(std::size_t frame);
+  // Pins `frame` and clears its dirty flag if it is dirty, queuing it for
+  // WriteBack. Requires mu_ held.
+  void TakeDirtyLocked(std::size_t frame, std::vector<std::size_t>* out);
+  // Writes the queued frames to disk, each under its shared page latch, and
+  // unpins them; stops writing at the first failure. Requires mu_ not held.
+  Status WriteBack(const std::vector<std::size_t>& frames);
 
   DiskManager* disk_;
   std::size_t capacity_;

@@ -1,29 +1,43 @@
 #include "storage/heap_file.h"
 
+#include <mutex>
+#include <shared_mutex>
 #include <string>
+#include <utility>
 
 namespace sentinel::storage {
 
 namespace {
-/// Pins `page_id`, runs `fn(SlottedPage&, Page*)`, then unpins with the
-/// dirty flag returned by `fn`.
-template <typename Fn>
+
+using Exclusive = std::unique_lock<std::shared_mutex>;
+using Shared = std::shared_lock<std::shared_mutex>;
+
+/// Pins `page_id`, runs `fn(SlottedPage&, Page&, bool* dirty)` under the
+/// page latch held as `Latch`, then unpins with the dirty flag `fn` set.
+template <typename Latch, typename Fn>
 Status WithPage(BufferPool* pool, PageId page_id, Fn fn) {
   auto page = pool->FetchPage(page_id);
   if (!page.ok()) return page.status();
-  SlottedPage sp(*page);
   bool dirty = false;
-  Status st = fn(sp, **page, &dirty);
+  Status st;
+  {
+    Latch latch((*page)->latch());
+    SlottedPage sp(*page);
+    st = fn(sp, **page, &dirty);
+  }
   Status unpin = pool->UnpinPage(page_id, dirty);
   return st.ok() ? unpin : st;
 }
+
 }  // namespace
 
 Result<PageId> HeapFile::Create(BufferPool* pool) {
   auto page = pool->NewPage();
   if (!page.ok()) return page.status();
-  SlottedPage sp(*page);
-  sp.Init();
+  {
+    Exclusive latch((*page)->latch());
+    SlottedPage(*page).Init();
+  }
   PageId id = (*page)->page_id();
   SENTINEL_RETURN_NOT_OK(pool->UnpinPage(id, /*dirty=*/true));
   return id;
@@ -38,29 +52,38 @@ Result<Rid> HeapFile::Insert(const std::vector<std::uint8_t>& record,
   for (;;) {
     auto page = pool_->FetchPage(current);
     if (!page.ok()) return page.status();
+    Exclusive latch((*page)->latch());
     SlottedPage sp(*page);
     auto slot = sp.Insert(record.data(), static_cast<std::uint16_t>(record.size()));
     if (slot.ok()) {
-      Rid rid{current, *slot};
+      latch.unlock();
       SENTINEL_RETURN_NOT_OK(pool_->UnpinPage(current, /*dirty=*/true));
-      return rid;
+      return Rid{current, *slot};
     }
     PageId next = (*page)->next_page_id();
     if (next == kInvalidPageId) {
-      // Append a fresh page to the chain.
+      // Append a fresh page to the chain. The current page stays latched so
+      // a concurrent inserter waits and then follows the new link instead of
+      // appending a second page; the pool never waits on a page latch, so
+      // NewPage cannot deadlock against it.
       auto fresh = pool_->NewPage();
       if (!fresh.ok()) {
+        latch.unlock();
         (void)pool_->UnpinPage(current, false);
         return fresh.status();
       }
-      SlottedPage fresh_sp(*fresh);
-      fresh_sp.Init();
+      {
+        Exclusive fresh_latch((*fresh)->latch());
+        SlottedPage(*fresh).Init();
+      }
       next = (*fresh)->page_id();
       (*page)->set_next_page_id(next);
+      latch.unlock();
       SENTINEL_RETURN_NOT_OK(pool_->UnpinPage(current, /*dirty=*/true));
       SENTINEL_RETURN_NOT_OK(pool_->UnpinPage(next, /*dirty=*/true));
       if (link_logger_) SENTINEL_RETURN_NOT_OK(link_logger_(current, next));
     } else {
+      latch.unlock();
       SENTINEL_RETURN_NOT_OK(pool_->UnpinPage(current, /*dirty=*/false));
     }
     current = next;
@@ -68,7 +91,7 @@ Result<Rid> HeapFile::Insert(const std::vector<std::uint8_t>& record,
 }
 
 Status HeapFile::InsertAt(const Rid& rid, const std::vector<std::uint8_t>& record) {
-  return WithPage(pool_, rid.page_id,
+  return WithPage<Exclusive>(pool_, rid.page_id,
                   [&](SlottedPage& sp, Page&, bool* dirty) -> Status {
                     *dirty = true;
                     if (sp.IsLive(rid.slot)) {
@@ -83,7 +106,7 @@ Status HeapFile::InsertAt(const Rid& rid, const std::vector<std::uint8_t>& recor
 
 Result<std::vector<std::uint8_t>> HeapFile::Read(const Rid& rid) const {
   std::vector<std::uint8_t> out;
-  Status st = WithPage(pool_, rid.page_id,
+  Status st = WithPage<Shared>(pool_, rid.page_id,
                        [&](SlottedPage& sp, Page&, bool*) -> Status {
                          auto rec = sp.Read(rid.slot);
                          if (!rec.ok()) return rec.status();
@@ -95,7 +118,7 @@ Result<std::vector<std::uint8_t>> HeapFile::Read(const Rid& rid) const {
 }
 
 Status HeapFile::Update(const Rid& rid, const std::vector<std::uint8_t>& record) {
-  return WithPage(pool_, rid.page_id,
+  return WithPage<Exclusive>(pool_, rid.page_id,
                   [&](SlottedPage& sp, Page&, bool* dirty) -> Status {
                     *dirty = true;
                     return sp.Update(rid.slot, record.data(),
@@ -104,7 +127,7 @@ Status HeapFile::Update(const Rid& rid, const std::vector<std::uint8_t>& record)
 }
 
 Status HeapFile::Delete(const Rid& rid) {
-  return WithPage(pool_, rid.page_id,
+  return WithPage<Exclusive>(pool_, rid.page_id,
                   [&](SlottedPage& sp, Page&, bool* dirty) -> Status {
                     *dirty = true;
                     return sp.Delete(rid.slot);
@@ -116,26 +139,31 @@ Status HeapFile::Scan(
         fn) const {
   PageId current = head_;
   while (current != kInvalidPageId) {
+    // Copy the page's live records out under the shared latch and call `fn`
+    // after releasing it, so `fn` may itself touch the heap.
     PageId next = kInvalidPageId;
-    Status st = WithPage(pool_, current,
-                         [&](SlottedPage& sp, Page& page, bool*) -> Status {
-                           next = page.next_page_id();
-                           for (SlotId s = 0; s < sp.slot_count(); ++s) {
-                             if (!sp.IsLive(s)) continue;
-                             auto rec = sp.Read(s);
-                             if (!rec.ok()) return rec.status();
-                             SENTINEL_RETURN_NOT_OK(fn(Rid{current, s}, *rec));
-                           }
-                           return Status::OK();
-                         });
-    SENTINEL_RETURN_NOT_OK(st);
+    std::vector<std::pair<SlotId, std::vector<std::uint8_t>>> records;
+    SENTINEL_RETURN_NOT_OK(WithPage<Shared>(
+        pool_, current, [&](SlottedPage& sp, Page& page, bool*) -> Status {
+          next = page.next_page_id();
+          for (SlotId s = 0; s < sp.slot_count(); ++s) {
+            if (!sp.IsLive(s)) continue;
+            auto rec = sp.Read(s);
+            if (!rec.ok()) return rec.status();
+            records.emplace_back(s, std::move(*rec));
+          }
+          return Status::OK();
+        }));
+    for (const auto& [slot, rec] : records) {
+      SENTINEL_RETURN_NOT_OK(fn(Rid{current, slot}, rec));
+    }
     current = next;
   }
   return Status::OK();
 }
 
 Status HeapFile::SetPageLsn(PageId page_id, Lsn lsn) {
-  return WithPage(pool_, page_id,
+  return WithPage<Exclusive>(pool_, page_id,
                   [&](SlottedPage&, Page& page, bool* dirty) -> Status {
                     if (page.lsn() < lsn) {
                       page.set_lsn(lsn);

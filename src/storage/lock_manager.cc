@@ -69,13 +69,16 @@ Status LockManager::Acquire(TxnId txn, const LockKey& key, LockMode mode) {
     // Upgrade S -> X: wait until we are the sole holder.
   }
 
-  const auto deadline = std::chrono::steady_clock::now() + options_.timeout;
+  // Read the clock only once a grant blocks: uncontended grants are the
+  // common case and pay for no deadline.
+  std::chrono::steady_clock::time_point deadline;
   bool waited = false;
   obs::Probe wait;
   while (!CanGrantLocked(state, txn, mode)) {
     if (!waited) {
       // First blocked iteration: open the wait window.
       waited = true;
+      deadline = std::chrono::steady_clock::now() + options_.timeout;
       waits_.fetch_add(1, std::memory_order_relaxed);
       wait.Start(ins_,
                  {.span = obs::SpanKind::kLockWait,

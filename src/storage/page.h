@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <shared_mutex>
 
 namespace sentinel::storage {
 
@@ -16,6 +17,11 @@ constexpr std::size_t kPageSize = 4096;
 /// In-memory frame for one disk page. The first bytes of `data` hold a
 /// PageHeader (page id, LSN of the last modifying log record, next-page link
 /// for heap files); the rest is payload managed by SlottedPage.
+///
+/// The latch guards `data` between a pin and its unpin: exclusive to modify
+/// the page, shared to read it (HeapFile, and the buffer pool while it writes
+/// a pinned dirty page to disk). Latches are taken only while pinned, so an
+/// unpinned page has no holder.
 class Page {
  public:
   /// On-page header, stored at offset 0 of every page.
@@ -66,8 +72,11 @@ class Page {
   void Pin() { ++pin_count_; }
   void Unpin() { --pin_count_; }
 
+  std::shared_mutex& latch() { return latch_; }
+
  private:
   alignas(8) std::uint8_t data_[kPageSize];
+  std::shared_mutex latch_;
   bool dirty_ = false;
   int pin_count_ = 0;
 };

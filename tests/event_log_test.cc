@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 
@@ -104,6 +105,59 @@ TEST_F(EventLogTest, FileBackedLogSurvivesReload) {
   ASSERT_TRUE(reloaded.Replay(&det).ok());
   EXPECT_EQ(sink.hits.size(), 1u);
   ASSERT_TRUE(reloaded.Close().ok());
+}
+
+TEST_F(EventLogTest, AppendAfterTornTailStaysReadable) {
+  {
+    LocalEventDetector det;
+    EventLog log;
+    ASSERT_TRUE(log.OpenFile(path_).ok());
+    log.AttachTo(&det);
+    DefineSeqGraph(&det);
+    RecordingSink sink;  // keep the graph active so events route
+    ASSERT_TRUE(det.Subscribe("a_then_b", &sink, ParamContext::kRecent).ok());
+    Fire(&det, "C", "void fa()", 1);
+    ASSERT_TRUE(log.Close().ok());
+  }
+  // A crash mid-Record: two bytes of the next size prefix reach the file.
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    const std::uint8_t stray[2] = {0x7F, 0x00};
+    ASSERT_EQ(std::fwrite(stray, 1, sizeof(stray), f), sizeof(stray));
+    std::fclose(f);
+  }
+  LocalEventDetector det;
+  EventLog reopened;
+  ASSERT_TRUE(reopened.OpenFile(path_).ok());
+  reopened.AttachTo(&det);
+  DefineSeqGraph(&det);
+  RecordingSink sink;
+  ASSERT_TRUE(det.Subscribe("a_then_b", &sink, ParamContext::kRecent).ok());
+  Fire(&det, "C", "void fb()", 2);
+  auto occurrences = reopened.Load();
+  ASSERT_TRUE(occurrences.ok());
+  ASSERT_EQ(occurrences->size(), 2u);
+  EXPECT_EQ((*occurrences)[0].method_signature, "void fa()");
+  EXPECT_EQ((*occurrences)[1].method_signature, "void fb()");
+  ASSERT_TRUE(reopened.Close().ok());
+}
+
+TEST_F(EventLogTest, OversizedSizePrefixIsRefused) {
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const std::uint32_t huge = 16u << 20;  // a 16 MiB frame in a 4-byte file
+    ASSERT_EQ(std::fwrite(&huge, sizeof(huge), 1, f), 1u);
+    std::fclose(f);
+  }
+  EventLog log;
+  ASSERT_TRUE(log.OpenFile(path_).ok());
+  auto occurrences = log.Load();
+  ASSERT_TRUE(occurrences.ok());
+  EXPECT_TRUE(occurrences->empty());
+  ASSERT_TRUE(log.Close().ok());
+  EXPECT_EQ(std::filesystem::file_size(path_), 0u);
 }
 
 TEST_F(EventLogTest, SerializationRoundTripsAllFields) {

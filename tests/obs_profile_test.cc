@@ -1,9 +1,9 @@
 // Continuous profiling plane: off-mode gating (no account accumulates unless
 // profiling is on), exact per-rule attribution agreeing with the rule latency
 // histograms, per-symbol event accounting under a concurrent notify storm,
-// the try-then-wait contention table, folded-stack sampler output shape, and
-// the /profile HTTP round-trip. Suite names start with Obs* so the TSan CI
-// job's --gtest_filter picks them up.
+// the try-then-wait contention table, folded stacks drawn from the rule
+// cells, and the /profile HTTP round-trip. Suite names start with Obs* so the
+// TSan CI job's --gtest_filter picks them up.
 
 #include <gtest/gtest.h>
 
@@ -330,38 +330,57 @@ TEST(ObsProfilerTest, ResetZeroesAccountsInPlace) {
 }
 
 // ---------------------------------------------------------------------------
-// Wall-clock sampling: folded-stack output shape
+// Folded stacks: rendered from the exact per-rule cells
 // ---------------------------------------------------------------------------
 
-TEST(ObsProfilerTest, SamplerProducesFoldedStacks) {
-  Profiler prof;
-  prof.Start();
-  auto* self = prof.RegisterThread("worker-0");
-  const char* outer = prof.InternFrame("rule:r_hot");
-  {
-    Profiler::AnnotationScope a(&prof, self, outer);
-    Profiler::AnnotationScope b(&prof, self, "action");
-    // Hold the annotated stack until the ~1kHz sampler has seen it.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (prof.FoldedStacks().find("action") == std::string::npos &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  }
-  prof.UnregisterThread(self);
-  prof.Stop();
+TEST(ObsProfilerTest, FoldedStacksAreTheRuleCells) {
+  ActiveDatabase db;
+  ASSERT_TRUE(db.OpenInMemory().ok());
+  ASSERT_TRUE(
+      db.DeclareEvent("e", "STOCK", EventModifier::kEnd, "void f()").ok());
+  std::atomic<int> fired{0};
+  ASSERT_TRUE(db.rule_manager()
+                  ->DefineRule(
+                      "r_hot", "e", [](const RuleContext&) { return true; },
+                      [&](const RuleContext&) { ++fired; })
+                  .ok());
+  Profiler* prof = db.profiler();
+  prof->Start();
 
-  EXPECT_GT(prof.samples(), 0u);
-  const std::string folded = prof.FoldedStacks();
-  // Collapsed-stack lines: "thread;frame;frame count\n".
-  const auto pos = folded.find("worker-0;rule:r_hot;action ");
+  constexpr int kFirings = 20;
+  auto txn = db.Begin();
+  ASSERT_TRUE(txn.ok());
+  auto params = std::make_shared<detector::ParamList>();
+  for (int i = 0; i < kFirings; ++i) {
+    db.NotifyMethod("STOCK", 1, EventModifier::kEnd, "void f()", params, *txn);
+  }
+  ASSERT_TRUE(db.Commit(*txn).ok());
+  ASSERT_EQ(fired, kFirings);
+  prof->Stop();
+
+  // Collapsed-stack lines: "rule;seam wall_ns\n".
+  const std::string folded = prof->FoldedStacks();
+  const std::string key = "r_hot;action ";
+  const auto pos = folded.find(key);
   ASSERT_NE(pos, std::string::npos) << folded;
+  ASSERT_TRUE(pos == 0 || folded[pos - 1] == '\n') << folded;
   const auto eol = folded.find('\n', pos);
   ASSERT_NE(eol, std::string::npos);
-  const std::string count = folded.substr(
-      folded.rfind(' ', eol) + 1, eol - folded.rfind(' ', eol) - 1);
-  EXPECT_GT(std::stoull(count), 0u);
+  const std::uint64_t weight =
+      std::stoull(folded.substr(pos + key.size(), eol - pos - key.size()));
+  EXPECT_GT(weight, 0u);
+  const auto& action =
+      prof->GetRuleCost("r_hot")
+          ->seams[static_cast<int>(Profiler::RuleSeam::kAction)];
+  EXPECT_EQ(weight, action.wall_ns.value());
+
+  std::uint64_t invocations = 0;
+  for (const auto& rule : prof->RuleSnapshots()) {
+    for (const auto& seam : rule.seams) invocations += seam.invocations;
+  }
+  EXPECT_GT(prof->samples(), 0u);
+  EXPECT_EQ(prof->samples(), invocations);
+  ASSERT_TRUE(db.Close().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ void PrintHelp() {
   health                   health verdict from the watchdog (JSON)
   metrics                  Prometheus text exposition (what /metrics serves)
   profile start|stop|reset continuous profiler control (cost attribution,
-                           contention sites, sampled stacks)
+                           contention sites, folded rule stacks)
   profile top              top rules by attributed cost + contended sites
   profile export [file]    /profile JSON, or folded stacks to <file>
                            (flamegraph.pl / inferno input)
@@ -536,11 +536,13 @@ int Run() {
           if (f == nullptr) {
             st = Status::IOError("cannot open " + words[2]);
           } else {
-            // Folded stacks, the input of flamegraph.pl / inferno.
+            // Folded stacks, the input of flamegraph.pl / inferno:
+            // "rule;seam wall_ns" lines from the per-rule cost cells.
             const std::string folded = profiler->FoldedStacks();
             std::fwrite(folded.data(), 1, folded.size(), f);
             std::fclose(f);
-            std::printf("folded stacks written to %s (%llu samples)\n",
+            std::printf("folded stacks (rule;seam wall-ns) written to %s "
+                        "(%llu rule-seam intervals)\n",
                         words[2].c_str(),
                         static_cast<unsigned long long>(profiler->samples()));
           }
