@@ -231,7 +231,6 @@ void Watchdog::Evaluate(const MonitorSample& sample) {
 
     const auto previous =
         static_cast<HealthState>(health_.load(std::memory_order_relaxed));
-    health_.store(static_cast<int>(state), std::memory_order_release);
     reasons_ = reasons;
 
     if (static_cast<int>(state) > static_cast<int>(previous)) {
@@ -250,6 +249,7 @@ void Watchdog::Evaluate(const MonitorSample& sample) {
           (last_postmortem_ns_ == 0 ||
            sample.at_ns >= last_postmortem_ns_ + min_gap_ns)) {
         last_postmortem_ns_ = sample.at_ns;
+        postmortems_.fetch_add(1, std::memory_order_relaxed);
         fire_hook = postmortem_hook_;
         fire_reason = "watchdog: " + (reasons.empty() ? std::string("health ") +
                                                             HealthStateToString(
@@ -257,13 +257,13 @@ void Watchdog::Evaluate(const MonitorSample& sample) {
                                                       : reasons.front());
       }
     }
+    // Published after the postmortem count, so a reader that sees the new
+    // state also sees the postmortem it triggered counted.
+    health_.store(static_cast<int>(state), std::memory_order_release);
   }
   // The hook dumps a postmortem through ActiveDatabase, which re-enters
   // component locks — never call it holding mu_.
-  if (fire_hook) {
-    postmortems_.fetch_add(1, std::memory_order_relaxed);
-    fire_hook(fire_reason);
-  }
+  if (fire_hook) fire_hook(fire_reason);
 }
 
 void Watchdog::WriteMetrics(MetricSink& s) const {
