@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 
 #include "bench_util.h"
 
@@ -14,9 +15,12 @@ namespace {
 using rules::RuleManager;
 using rules::SchedulingPolicy;
 
+// Args: rules per event, policy, and the action's busy time in µs (0: a
+// no-op action, which measures the scheduler's own cost).
 void BM_RulesPerEvent(benchmark::State& state) {
   const int num_rules = static_cast<int>(state.range(0));
   const auto policy = static_cast<SchedulingPolicy>(state.range(1));
+  const std::chrono::microseconds busy(state.range(2));
   core::ActiveDatabase db;
   core::ActiveDatabase::Options options;
   options.scheduler.policy = policy;
@@ -28,7 +32,15 @@ void BM_RulesPerEvent(benchmark::State& state) {
     rule_options.priority = i % 4;
     (void)db.rule_manager()->DefineRule(
         "r" + std::to_string(i), "e", nullptr,
-        [&executed](const rules::RuleContext&) { ++executed; }, rule_options);
+        [&executed, busy](const rules::RuleContext&) {
+          if (busy.count() > 0) {
+            const auto until = std::chrono::steady_clock::now() + busy;
+            while (std::chrono::steady_clock::now() < until) {
+            }
+          }
+          ++executed;
+        },
+        rule_options);
   }
   auto txn = db.Begin();
   int v = 0;
@@ -37,12 +49,18 @@ void BM_RulesPerEvent(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * num_rules);
   state.counters["rule_execs"] = static_cast<double>(executed.load());
+  state.counters["pooled_batches"] =
+      static_cast<double>(db.scheduler()->pooled_batches());
+  state.counters["handoff_ns"] =
+      static_cast<double>(db.scheduler()->handoff_ns().mean_ns());
   state.SetLabel(policy == SchedulingPolicy::kSerial       ? "serial"
                  : policy == SchedulingPolicy::kConcurrent ? "concurrent"
                                                            : "priority_classes");
 }
 BENCHMARK(BM_RulesPerEvent)
-    ->ArgsProduct({{1, 4, 16, 64}, {0, 1, 2}});
+    ->ArgsProduct({{1, 4, 16, 64}, {0, 1, 2}, {0}})
+    ->ArgsProduct({{16}, {0, 1, 2}, {5}})
+    ->UseRealTime();  // concurrent policies block the timed thread
 
 // Nested triggering: rule i raises the event of rule i+1 (depth-first chain).
 void BM_NestedRuleDepth(benchmark::State& state) {

@@ -113,6 +113,13 @@ class LatencyHistogram {
   }
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  std::uint64_t sum_ns() const { return sum_.load(std::memory_order_relaxed); }
+  /// sum_ns / count without a snapshot (0 with no samples): two relaxed
+  /// loads, cheap enough for a per-firing scheduling decision.
+  std::uint64_t mean_ns() const {
+    const std::uint64_t n = count();
+    return n == 0 ? 0 : sum_ns() / n;
+  }
 
   static int BucketOf(std::uint64_t ns) {
     const int b = std::bit_width(ns);  // 0 for ns==0

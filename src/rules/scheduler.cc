@@ -1,5 +1,7 @@
 #include "rules/scheduler.h"
 
+#include <sched.h>
+
 #include <algorithm>
 
 #include "common/failpoint.h"
@@ -25,7 +27,80 @@ bool PathLess(const std::vector<int>& a, const std::vector<int>& b) {
   return a.size() < b.size();
 }
 
+/// CPUs this process may run on (its affinity mask), at least 1.
+std::size_t AffinityCpus() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    return std::max(1, CPU_COUNT(&allowed));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// A firing's expected cost: the mean condition + action + commit time from
+/// its rule's always-on histograms (0 before the rule has run).
+std::uint64_t ExpectedCostNs(const Rule* rule) {
+  if (rule == nullptr || !rule->enabled()) return 0;
+  const obs::RuleMetrics& m = rule->metrics();
+  return m.condition_ns.mean_ns() + m.action_ns.mean_ns() +
+         m.commit_ns.mean_ns();
+}
+
 }  // namespace
+
+/// One popped batch. The caller and any pool helpers claim firings through
+/// `next`. In a pooled batch `unfinished` counts firings not yet done
+/// (claimed or not), so the caller, once nothing is left to claim, waits
+/// only for firings a helper is still running. Pooled batches are shared
+/// with their helpers, and a helper that starts after the batch is done
+/// finds nothing to claim.
+struct RuleScheduler::Batch {
+  Batch(const RuleScheduler* owner, std::vector<Firing> popped,
+        bool one_class, bool pooled)
+      : owner(owner),
+        firings(std::move(popped)),
+        size(firings.size()),
+        one_class(one_class),
+        pooled(pooled),
+        unfinished(firings.size()) {}
+
+  // The floor a Drain nested in one of this batch's firings keeps lower
+  // classes behind: the batch's class while siblings are unclaimed. Only a
+  // kPriorityClasses batch is one class; a kConcurrent batch mixes
+  // priorities, and each of its firings' nested firings runs at once.
+  const std::vector<int>* floor() const {
+    if (!one_class || next.load(std::memory_order_relaxed) >= size) {
+      return nullptr;
+    }
+    return &firings.front().priority_path;
+  }
+  // kAbortTop: transactions a firing of this batch doomed; their unclaimed
+  // siblings are dropped, as AbortTop drops the queued ones.
+  bool Doomed(storage::TxnId txn) {
+    if (!any_doomed.load(std::memory_order_acquire)) return false;
+    std::lock_guard<std::mutex> lock(mu);
+    return std::find(doomed.begin(), doomed.end(), txn) != doomed.end();
+  }
+  void Doom(storage::TxnId txn) {
+    std::lock_guard<std::mutex> lock(mu);
+    doomed.push_back(txn);
+    any_doomed.store(true, std::memory_order_release);
+  }
+
+  const RuleScheduler* const owner;
+  std::vector<Firing> firings;
+  const std::size_t size;  // firings.size(), readable after firings clear
+  const bool one_class;
+  const bool pooled;
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> unfinished;
+  std::atomic<bool> any_doomed{false};
+  std::mutex mu;  // guards doomed; with done_cv, the caller's final wait
+  std::condition_variable done_cv;
+  std::vector<storage::TxnId> doomed;
+};
+
+thread_local RuleScheduler::Batch* RuleScheduler::t_batch_ = nullptr;
 
 const char* ContingencyPolicyToString(ContingencyPolicy policy) {
   switch (policy) {
@@ -46,6 +121,7 @@ RuleScheduler::RuleScheduler(txn::NestedTransactionManager* nested,
       nested_(nested),
       db_(db),
       pool_(std::make_unique<ThreadPool>(options.workers)) {
+  parallelism_ = std::min(AffinityCpus(), pool_->worker_count() + 1);
   detached_worker_ = std::thread([this] { DetachedLoop(); });
 }
 
@@ -109,19 +185,24 @@ void RuleScheduler::EnqueueDetached(Firing firing) {
   detached_cv_.notify_one();
 }
 
-std::vector<Firing> RuleScheduler::PopBatch() {
+std::vector<Firing> RuleScheduler::PopBatch(SchedulingPolicy policy,
+                                            const std::vector<int>* floor) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Firing> batch;
   if (pending_.empty()) return batch;
 
-  // Index of the highest-priority pending firing.
+  // Index of the highest-priority pending firing (the first enqueued of its
+  // class: only a strictly higher path replaces it).
   std::size_t best = 0;
   for (std::size_t i = 1; i < pending_.size(); ++i) {
     if (PathLess(pending_[best].priority_path, pending_[i].priority_path)) {
       best = i;
     }
   }
-  switch (policy()) {
+  if (floor != nullptr && PathLess(pending_[best].priority_path, *floor)) {
+    return batch;
+  }
+  switch (policy) {
     case SchedulingPolicy::kSerial: {
       batch.push_back(std::move(pending_[best]));
       pending_.erase(pending_.begin() + static_cast<long>(best));
@@ -133,17 +214,21 @@ std::vector<Firing> RuleScheduler::PopBatch() {
       break;
     }
     case SchedulingPolicy::kPriorityClasses: {
-      // Everything sharing the top priority path runs concurrently.
-      const std::vector<int> top = pending_[best].priority_path;
-      std::deque<Firing> keep;
-      for (Firing& f : pending_) {
-        if (f.priority_path == top) {
-          batch.push_back(std::move(f));
+      // Everything sharing the top priority path forms the batch, in
+      // enqueue order. Nothing before `best` is in the top class, so the
+      // rest is compacted in place from there.
+      batch.push_back(std::move(pending_[best]));
+      std::size_t keep = best;
+      for (std::size_t i = best + 1; i < pending_.size(); ++i) {
+        if (pending_[i].priority_path == batch.front().priority_path) {
+          batch.push_back(std::move(pending_[i]));
         } else {
-          keep.push_back(std::move(f));
+          if (keep != i) pending_[keep] = std::move(pending_[i]);
+          ++keep;
         }
       }
-      pending_ = std::move(keep);
+      pending_.erase(pending_.begin() + static_cast<long>(keep),
+                     pending_.end());
       break;
     }
   }
@@ -151,36 +236,88 @@ std::vector<Firing> RuleScheduler::PopBatch() {
   return batch;
 }
 
+bool RuleScheduler::ShouldPool(const std::vector<Firing>& batch) const {
+  // Helpers still waiting to start would queue new ones behind them; until
+  // the pool's first hand-off is measured this also keeps the batches that
+  // follow the first pooled one from assuming a free hand-off.
+  if (parallelism_ < 2 || batch.size() < 2 || pool_->queued() != 0) {
+    return false;
+  }
+  std::uint64_t total = 0;
+  std::uint64_t longest = 0;
+  for (const Firing& f : batch) {
+    const std::uint64_t cost = ExpectedCostNs(f.rule);
+    total += cost;
+    longest = std::max(longest, cost);
+  }
+  const std::uint64_t makespan = std::max(longest, total / parallelism_);
+  return handoff_ns().mean_ns() + makespan < total;
+}
+
+void RuleScheduler::RunBatch(Batch& batch) {
+  Batch* const outer = t_batch_;
+  t_batch_ = &batch;
+  for (std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
+       i < batch.size;
+       i = batch.next.fetch_add(1, std::memory_order_relaxed)) {
+    const Firing& firing = batch.firings[i];
+    if (!batch.Doomed(firing.txn) && Execute(firing)) batch.Doom(firing.txn);
+    // The caller's wait reads `unfinished` under `mu`: taking `mu` after the
+    // last decrement means the caller either sees 0 or is already waiting.
+    if (batch.pooled &&
+        batch.unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      std::lock_guard<std::mutex> lock(batch.mu);
+      batch.done_cv.notify_all();
+    }
+  }
+  t_batch_ = outer;
+}
+
 void RuleScheduler::Drain() {
   for (;;) {
     // Drain is called after every notification; when no rule fired there is
     // nothing queued — return without touching the queue lock.
     if (pending_count_.load(std::memory_order_acquire) == 0) return;
-    std::vector<Firing> batch = PopBatch();
-    if (batch.empty()) return;
-    if (batch.size() == 1) {
-      Execute(std::move(batch[0]));
+    // Nested in a firing (its action raised an event) whose class still has
+    // unclaimed siblings: run only what ranks at or above that class — the
+    // nested firings — and leave lower classes to the outer Drain.
+    const std::vector<int>* floor =
+        t_batch_ != nullptr && t_batch_->owner == this ? t_batch_->floor()
+                                                       : nullptr;
+    const SchedulingPolicy policy = this->policy();
+    const bool one_class = policy == SchedulingPolicy::kPriorityClasses;
+    std::vector<Firing> popped = PopBatch(policy, floor);
+    if (popped.empty()) return;
+    if (!ShouldPool(popped)) {
+      inline_batches_.fetch_add(1, std::memory_order_relaxed);
+      Batch batch(this, std::move(popped), one_class, /*pooled=*/false);
+      RunBatch(batch);
       continue;
     }
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    std::size_t remaining = batch.size();
-    for (Firing& firing : batch) {
-      pool_->Submit([this, f = std::move(firing), &done_mu, &done_cv,
-                     &remaining]() mutable {
-        Execute(std::move(f));
-        std::lock_guard<std::mutex> lock(done_mu);
-        if (--remaining == 0) done_cv.notify_all();
+    pooled_batches_.fetch_add(1, std::memory_order_relaxed);
+    auto batch = std::make_shared<Batch>(this, std::move(popped), one_class,
+                                         /*pooled=*/true);
+    const std::size_t helpers = std::min(parallelism_, batch->size) - 1;
+    for (std::size_t i = 0; i < helpers; ++i) {
+      pool_->Submit([this, batch] { RunBatch(*batch); });
+    }
+    RunBatch(*batch);
+    // Nothing left to claim: wait for the firings helpers are running.
+    {
+      std::unique_lock<std::mutex> lock(batch->mu);
+      batch->done_cv.wait(lock, [&batch] {
+        return batch->unfinished.load(std::memory_order_acquire) == 0;
       });
     }
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&remaining] { return remaining == 0; });
+    // Every firing is done; a helper still to start reads only the claim
+    // cursor, so the firings die here, within the Drain that ran them.
+    batch->firings.clear();
   }
 }
 
-void RuleScheduler::Execute(Firing firing) {
+bool RuleScheduler::Execute(const Firing& firing) {
   Rule* rule = firing.rule;
-  if (rule == nullptr || !rule->enabled()) return;
+  if (rule == nullptr || !rule->enabled()) return false;
 
   obs::ProvenanceTracer* tracer = ins_.provenance;
   const bool tracing = tracer != nullptr && tracer->enabled();
@@ -344,6 +481,7 @@ void RuleScheduler::Execute(Firing firing) {
                                      own_wall);
   }
 
+  bool doomed = false;
   if (failure.ok()) {
     if (condition_held) {
       rule->CountFiring();
@@ -361,11 +499,13 @@ void RuleScheduler::Execute(Firing firing) {
     if (contingency == ContingencyPolicy::kAbortTop &&
         firing.txn != storage::kInvalidTxnId) {
       AbortTop(firing.txn);
+      doomed = true;
     }
   }
   for (const ExecutionObserver& observer : observers_) {
     observer(firing, condition_held, sub_status);
   }
+  return doomed;
 }
 
 void RuleScheduler::AbortTop(storage::TxnId txn) {
@@ -419,7 +559,7 @@ void RuleScheduler::DetachedLoop() {
     }
     firing.txn = detached_txn;
     firing.parent_subtxn = txn::kInvalidSubTxn;
-    Execute(std::move(firing));
+    Execute(firing);
     if (detached_txn != storage::kInvalidTxnId) {
       Status st = db_->Commit(detached_txn);
       if (!st.ok()) {
@@ -477,6 +617,9 @@ void RuleScheduler::WriteMetrics(obs::MetricSink& s) const {
   s.Gauge({"sentinel_scheduler_max_depth",
            "Deepest cascaded-rule nesting observed.", "max_depth"},
           static_cast<std::uint64_t>(max_depth_seen()));
+  s.Counter({{}, {}, "inline_batches"}, inline_batches());
+  s.Counter({{}, {}, "pooled_batches"}, pooled_batches());
+  s.Histogram({{}, {}, "handoff_ns"}, handoff_ns().TakeSnapshot());
 }
 
 }  // namespace sentinel::rules

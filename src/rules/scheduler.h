@@ -67,10 +67,12 @@ struct Firing {
   std::uint64_t trigger_span = 0;
 };
 
-/// Executes rule firings as prioritized subtransactions on a thread pool
-/// (paper Fig. 3): condition and action are packaged as the thread body; the
-/// triggering application thread suspends in Drain() until all immediate
-/// rules (including nested ones) have completed, then resumes.
+/// Executes rule firings as prioritized subtransactions (paper Fig. 3):
+/// condition and action are packaged as the thread body; the triggering
+/// application thread stays in Drain() until all immediate rules (including
+/// nested ones) have completed, then resumes. A batch of same-class firings
+/// runs on the calling thread unless the rules' measured costs say that
+/// sharing it with the thread pool finishes sooner (DESIGN.md §5).
 class RuleScheduler {
  public:
   struct Options {
@@ -157,6 +159,16 @@ class RuleScheduler {
   /// Times the kAbortTop contingency aborted a triggering transaction.
   std::uint64_t abort_top_count() const { return abort_top_; }
   int max_depth_seen() const { return max_depth_; }
+  /// Batches the calling thread ran alone / shared with pool helpers.
+  std::uint64_t inline_batches() const { return inline_batches_; }
+  std::uint64_t pooled_batches() const { return pooled_batches_; }
+  /// Threads a pooled batch can use at once: min(CPUs in the process
+  /// affinity mask at construction, workers + 1 for the caller).
+  std::size_t parallelism() const { return parallelism_; }
+  /// The pool's measured hand-off (Submit to task start) the model uses.
+  const obs::LatencyHistogram& handoff_ns() const {
+    return pool_->handoff_ns();
+  }
   /// Firing counters and queue-depth gauges, plus the policy knobs.
   void WriteMetrics(obs::MetricSink& s) const;
   // Policy knobs are atomics: the shell (or any admin surface) may flip them
@@ -200,9 +212,21 @@ class RuleScheduler {
   }
 
  private:
-  // Pops the next batch to run according to the policy. Empty == idle.
-  std::vector<Firing> PopBatch();
-  void Execute(Firing firing);
+  struct Batch;
+
+  // Pops the next batch to run according to `policy`. Empty == idle, or
+  // the top pending firing ranks below `floor`.
+  std::vector<Firing> PopBatch(SchedulingPolicy policy,
+                               const std::vector<int>* floor);
+  // The cost model: true when helpers on the pool finish `batch` sooner
+  // than the caller alone, hand-off included.
+  bool ShouldPool(const std::vector<Firing>& batch) const;
+  // Claims and executes firings of `batch` until none is left unclaimed;
+  // run by the caller and by every pool helper of the batch.
+  void RunBatch(Batch& batch);
+  // Returns true when the firing failed under kAbortTop and so doomed its
+  // top-level transaction.
+  bool Execute(const Firing& firing);
   void DetachedLoop();
   // kAbortTop contingency: drop queued firings of `txn` and abort it.
   void AbortTop(storage::TxnId txn);
@@ -212,6 +236,7 @@ class RuleScheduler {
   txn::NestedTransactionManager* nested_;
   oodb::Database* db_;
   std::unique_ptr<ThreadPool> pool_;
+  std::size_t parallelism_ = 1;
   obs::Instruments ins_;
   PostmortemHook postmortem_hook_;  // guarded by mu_
 
@@ -237,6 +262,12 @@ class RuleScheduler {
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> abort_top_{0};
   std::atomic<int> max_depth_{0};
+  std::atomic<std::uint64_t> inline_batches_{0};
+  std::atomic<std::uint64_t> pooled_batches_{0};
+  // The batch this thread is running a firing of (innermost), so a Drain
+  // nested in that firing knows whether its class still has unclaimed
+  // siblings.
+  static thread_local Batch* t_batch_;
   std::vector<ExecutionObserver> observers_;
 };
 

@@ -22,9 +22,11 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
+  const auto submitted = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
+    queue_.push_back({std::move(task), submitted});
+    queued_.store(queue_.size(), std::memory_order_relaxed);
   }
   work_cv_.notify_one();
 }
@@ -37,14 +39,21 @@ void ThreadPool::WaitIdle() {
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
+    std::chrono::steady_clock::time_point submitted;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
+      task = std::move(queue_.front().fn);
+      submitted = queue_.front().submitted;
       queue_.pop_front();
+      queued_.store(queue_.size(), std::memory_order_relaxed);
       ++busy_;
     }
+    handoff_ns_.Record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - submitted)
+            .count()));
     // An exception leaving a worker would std::terminate the process; the
     // scheduler contains rule failures upstream, this is the last line of
     // defence for any other task.

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -299,6 +301,199 @@ TEST_F(SchedulerTest, AbortTopContingencyDropsPendingFirings) {
   EXPECT_EQ(scheduler.failed_count(), 1u);
   EXPECT_EQ(scheduler.abort_top_count(), 1u);
   EXPECT_EQ(nested_.active_count(), 0u);
+}
+
+TEST_F(SchedulerTest, AbortTopDropsSameClassSiblings) {
+  // The bomb's failure dooms txn 7 while its two same-class siblings are
+  // already popped into the batch: they must be dropped like queued ones.
+  RuleScheduler scheduler(
+      &nested_, nullptr,
+      RuleScheduler::Options{SchedulingPolicy::kPriorityClasses, 4,
+                             ContingencyPolicy::kAbortTop});
+  auto bomb = std::make_unique<Rule>("bomb", "e", nullptr,
+                                     [](const RuleContext&) {
+                                       throw std::runtime_error("boom");
+                                     });
+  std::atomic<int> siblings_ran{0};
+  auto sibling = std::make_unique<Rule>(
+      "sibling", "e", nullptr,
+      [&siblings_ran](const RuleContext&) { ++siblings_ran; });
+  std::atomic<int> other_txn_ran{0};
+  auto other_txn = std::make_unique<Rule>(
+      "other", "e", nullptr,
+      [&other_txn_ran](const RuleContext&) { ++other_txn_ran; });
+  scheduler.Enqueue(MakeFiring(bomb.get(), 9, /*txn=*/7));
+  scheduler.Enqueue(MakeFiring(sibling.get(), 9, /*txn=*/7));
+  scheduler.Enqueue(MakeFiring(sibling.get(), 9, /*txn=*/7));
+  scheduler.Enqueue(MakeFiring(other_txn.get(), 1, /*txn=*/8));
+  scheduler.Drain();
+  EXPECT_EQ(siblings_ran, 0);
+  EXPECT_EQ(other_txn_ran, 1);
+  EXPECT_EQ(scheduler.failed_count(), 1u);
+  EXPECT_EQ(scheduler.abort_top_count(), 1u);
+  EXPECT_EQ(nested_.active_count(), 0u);
+}
+
+TEST_F(SchedulerTest, NestedDrainKeepsLowerClassBehindSiblings) {
+  // a1's action raises a nested firing and drains, as a reactive method
+  // call inside an action does. The nested firing runs at once (depth
+  // first), but the lower class must wait for a1's unclaimed sibling a2.
+  RuleScheduler scheduler(
+      &nested_, nullptr,
+      RuleScheduler::Options{SchedulingPolicy::kPriorityClasses, 4});
+  std::mutex mu;
+  std::vector<std::string> order;
+  auto record = [&mu, &order](const std::string& name) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(name);
+  };
+  auto nested = std::make_unique<Rule>(
+      "nested", "e", nullptr,
+      [&record](const RuleContext&) { record("nested"); });
+  auto a1 = std::make_unique<Rule>(
+      "a1", "e", nullptr, [&](const RuleContext&) {
+        record("a1");
+        Firing f = MakeFiring(nested.get(), 0);
+        f.priority_path = RuleScheduler::CurrentFrame()->priority_path;
+        f.priority_path.push_back(5);
+        scheduler.Enqueue(std::move(f));
+        scheduler.Drain();
+      });
+  auto a2 = std::make_unique<Rule>(
+      "a2", "e", nullptr, [&record](const RuleContext&) { record("a2"); });
+  auto low = std::make_unique<Rule>(
+      "low", "e", nullptr, [&record](const RuleContext&) { record("low"); });
+  scheduler.Enqueue(MakeFiring(a1.get(), 9));
+  scheduler.Enqueue(MakeFiring(a2.get(), 9));
+  scheduler.Enqueue(MakeFiring(low.get(), 1));
+  scheduler.Drain();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"a1", "nested", "a2", "low"}));
+  EXPECT_EQ(scheduler.pending_count(), 0u);
+}
+
+TEST_F(SchedulerTest, ConcurrentNestedFiringRunsBeforeActionReturns) {
+  // A kConcurrent batch mixes priorities. `low` ranks below `high`, which
+  // was enqueued first, and `tail` is still unclaimed when `low` runs; the
+  // firing `low`'s action raises must still run before the action returns.
+  RuleScheduler scheduler(
+      &nested_, nullptr,
+      RuleScheduler::Options{SchedulingPolicy::kConcurrent, 4});
+  std::mutex mu;
+  std::vector<std::string> order;
+  auto record = [&mu, &order](const std::string& name) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(name);
+  };
+  auto nested = std::make_unique<Rule>(
+      "nested", "e", nullptr,
+      [&record](const RuleContext&) { record("nested"); });
+  auto low = std::make_unique<Rule>(
+      "low", "e", nullptr, [&](const RuleContext&) {
+        Firing f = MakeFiring(nested.get(), 0);
+        f.priority_path = RuleScheduler::CurrentFrame()->priority_path;
+        f.priority_path.push_back(5);
+        scheduler.Enqueue(std::move(f));
+        scheduler.Drain();
+        record("low returns");
+      });
+  auto high = std::make_unique<Rule>(
+      "high", "e", nullptr, [&record](const RuleContext&) { record("high"); });
+  auto tail = std::make_unique<Rule>(
+      "tail", "e", nullptr, [&record](const RuleContext&) { record("tail"); });
+  scheduler.Enqueue(MakeFiring(high.get(), 9));
+  scheduler.Enqueue(MakeFiring(low.get(), 1));
+  scheduler.Enqueue(MakeFiring(tail.get(), 1));
+  scheduler.Drain();
+  ASSERT_EQ(order.size(), 4u);
+  const auto at = [&order](const std::string& name) {
+    return std::find(order.begin(), order.end(), name) - order.begin();
+  };
+  EXPECT_LT(at("nested"), at("low returns"));
+  EXPECT_LT(at("high"), 4);
+  EXPECT_LT(at("tail"), 4);
+  EXPECT_EQ(scheduler.pending_count(), 0u);
+}
+
+TEST_F(SchedulerTest, CheapClassRunsOnCallingThread) {
+  RuleScheduler scheduler(
+      &nested_, nullptr,
+      RuleScheduler::Options{SchedulingPolicy::kPriorityClasses, 4});
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  std::vector<std::unique_ptr<Rule>> rules;
+  for (int i = 0; i < 4; ++i) {
+    rules.push_back(std::make_unique<Rule>(
+        "noop" + std::to_string(i), "e", nullptr,
+        [&mu, &ran_on](const RuleContext&) {
+          std::lock_guard<std::mutex> lock(mu);
+          ran_on.push_back(std::this_thread::get_id());
+        }));
+  }
+  auto fire_class = [&] {
+    for (auto& rule : rules) scheduler.Enqueue(MakeFiring(rule.get(), 3));
+    scheduler.Drain();
+  };
+  // Warm-up: the first rounds measure the rules' costs and, on a machine
+  // with more than one CPU, the pool's hand-off (a pool that has not handed
+  // off yet counts it as free, so a batch goes to the pool to measure it).
+  for (int round = 0; round < 20; ++round) fire_class();
+  // A helper records its hand-off when it starts, which may be after its
+  // batch is done.
+  for (int i = 0; i < 2000 && scheduler.parallelism() > 1 &&
+                  scheduler.handoff_ns().count() == 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ran_on.clear();
+  const std::uint64_t pooled = scheduler.pooled_batches();
+  for (int round = 0; round < 50; ++round) fire_class();
+  ASSERT_EQ(ran_on.size(), 200u);
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(scheduler.pooled_batches(), pooled);
+  EXPECT_GE(scheduler.inline_batches(), 50u);
+}
+
+TEST_F(SchedulerTest, ExpensiveClassSharesWorkWithCaller) {
+  RuleScheduler scheduler(
+      &nested_, nullptr,
+      RuleScheduler::Options{SchedulingPolicy::kPriorityClasses, 4});
+  if (scheduler.parallelism() < 2) {
+    GTEST_SKIP() << "the process may use only one CPU";
+  }
+  std::mutex mu;
+  std::set<std::thread::id> ran_on;
+  std::vector<std::unique_ptr<Rule>> rules;
+  for (int i = 0; i < 4; ++i) {
+    rules.push_back(std::make_unique<Rule>(
+        "spin" + std::to_string(i), "e", nullptr,
+        [&mu, &ran_on](const RuleContext&) {
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::milliseconds(2);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+          std::lock_guard<std::mutex> lock(mu);
+          ran_on.insert(std::this_thread::get_id());
+        }));
+  }
+  auto fire_class = [&] {
+    for (auto& rule : rules) scheduler.Enqueue(MakeFiring(rule.get(), 3));
+    scheduler.Drain();
+  };
+  fire_class();  // warm-up: measures the rules' costs
+  EXPECT_EQ(ran_on.size(), 1u);  // unmeasured rules cost 0: run inline
+  ran_on.clear();
+  // On a busy machine a helper may start only after the caller ran the
+  // whole batch, or the caller may be descheduled while helpers take it
+  // all; allow a few rounds to show the sharing.
+  const std::thread::id caller = std::this_thread::get_id();
+  auto shared = [&] { return ran_on.size() >= 2 && ran_on.count(caller) == 1; };
+  for (int round = 0; round < 10 && !shared(); ++round) fire_class();
+  EXPECT_GE(ran_on.size(), 2u);
+  EXPECT_EQ(ran_on.count(caller), 1u);
+  EXPECT_GE(scheduler.pooled_batches(), 1u);
 }
 
 }  // namespace

@@ -11,6 +11,12 @@
 #   build_dir  defaults to ./build (must contain bench/ binaries)
 #   out_json   defaults to BENCH_dispatch.json in the current directory
 #
+# BENCH_rules.json (bench_rule_exec, BM_RulesPerEvent) holds within-run
+# ratios of each concurrent policy to serial, each the ratio of medians of
+# 5 repetitions: concurrent must stay within 10% of serial at 1 and 4 no-op
+# rules (strict mode fails above); the 16-rule x 5 us-action ratios are
+# recorded.
+#
 # Also runs bench_monitor_overhead and writes BENCH_monitor.json next to
 # out_json: the Notify hot path measured bare, under the health watchdog,
 # and under watchdog + a concurrently scraping /metrics endpoint. Overheads
@@ -48,12 +54,13 @@ export SENTINEL_BENCH_METRICS_DIR="${METRICS_DIR}"
 
 run() {
   local bin="$1" filter="$2" out="$3"
+  shift 3
   "${BUILD_DIR}/bench/${bin}" \
     --benchmark_filter="${filter}" \
     --benchmark_min_time="${MIN_TIME}" \
     --benchmark_format=json \
     --benchmark_out="${out}" \
-    --benchmark_out_format=json >/dev/null
+    --benchmark_out_format=json "$@" >/dev/null
 }
 
 run bench_primitive_events 'BM_Notify.*' "${tmpdir}/primitive.json"
@@ -63,6 +70,9 @@ run bench_monitor_overhead 'BM_Monitor.*' "${tmpdir}/monitor.json"
 run bench_net_throughput 'BM_Net.*' "${tmpdir}/net.json"
 run bench_commit_throughput 'BM_Commit.*' "${tmpdir}/commit.json"
 run bench_profile_overhead 'BM_Profile.*' "${tmpdir}/profile.json"
+run bench_rule_exec 'BM_RulesPerEvent.*' "${tmpdir}/rules.json" \
+  --benchmark_repetitions=5 \
+  --benchmark_enable_random_interleaving=true
 
 BASELINE="$(dirname "$0")/bench_baseline.json"
 
@@ -179,9 +189,8 @@ with open(sys.argv[1]) as f:
     doc = json.load(f)
 times = {}
 for bench in doc.get("benchmarks", []):
-    if bench.get("run_type") == "aggregate":
-        continue
-    times[bench["name"]] = bench.get("real_time")
+    if bench.get("aggregate_name") == "median":
+        times[bench["run_name"]] = bench.get("real_time")
 
 off = times.get("BM_MonitorNotifyOff")
 out = {
@@ -238,9 +247,8 @@ with open(sys.argv[2]) as f:
     doc = json.load(f)
 times = {}
 for bench in doc.get("benchmarks", []):
-    if bench.get("run_type") == "aggregate":
-        continue
-    times[bench["name"]] = bench.get("real_time")
+    if bench.get("aggregate_name") == "median":
+        times[bench["run_name"]] = bench.get("real_time")
 
 out = {
     "description": (
@@ -465,9 +473,80 @@ if strict and failures:
     sys.exit(1)
 PY
 
+# Rule-execution artifact: BM_RulesPerEvent/<rules>/<policy>/<action_us>
+# (policy 0 serial, 1 concurrent, 2 priority classes). The gate is the
+# WITHIN-RUN ratio to the serial run of the same shape, the BENCH_commit.json
+# pattern: concurrent must not cost more than serial where the rules are too
+# cheap for the pool's hand-off to pay (1 and 4 no-op rules). At 1 rule both
+# policies run the same code, so one measurement per row would gate on the
+# machine's run-to-run noise; each row is the median of its repetitions, and
+# the repetitions of all rows run in random interleaved order so a slow
+# stretch of the machine does not fall on one policy's rows only.
+RULES_OUT="$(dirname "${OUT}")/BENCH_rules.json"
+python3 - "${tmpdir}/rules.json" "${RULES_OUT}" <<'PY'
+import json
+import os
+import sys
+
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+times = {}
+for bench in doc.get("benchmarks", []):
+    if bench.get("aggregate_name") == "median":
+        times[bench["run_name"]] = bench.get("real_time")
+
+
+def bname(rules, policy, action_us):
+    return f"BM_RulesPerEvent/{rules}/{policy}/{action_us}/real_time"
+
+
+out = {
+    "description": (
+        "Rule firing cost per event by policy: serial (0), concurrent (1) "
+        "and priority classes (2), with 1-64 no-op rules and 16 rules whose "
+        "action busy-spins 5 us. ratio_vs_serial divides each row's median "
+        "real time over its repetitions by the serial row of the same shape "
+        "in this run (< 1 is faster than serial)."
+    ),
+    "context": doc.get("context", {}),
+    "benchmarks": doc.get("benchmarks", []),
+    "ratio_vs_serial": {},
+}
+for rules, action_us in ((1, 0), (4, 0), (16, 0), (64, 0), (16, 5)):
+    serial = times.get(bname(rules, 0, action_us))
+    for policy in (1, 2):
+        t = times.get(bname(rules, policy, action_us))
+        if serial and t:
+            out["ratio_vs_serial"][bname(rules, policy, action_us)] = t / serial
+
+failures = []
+for rules in (1, 4):
+    ratio = out["ratio_vs_serial"].get(bname(rules, 1, 0))
+    if ratio is None:
+        failures.append(f"no concurrent/serial ratio at {rules} no-op rules")
+    elif ratio > 1.10:
+        failures.append(
+            f"concurrent is {ratio:.2f}x serial at {rules} no-op rules "
+            "(> 1.10x)")
+
+for name in sorted(out["ratio_vs_serial"]):
+    print(f"  {name:45s} {times[name]:12.1f} ns   "
+          f"{out['ratio_vs_serial'][name]:6.2f}x serial")
+
+with open(sys.argv[2], "w") as f:
+    json.dump(out, f, indent=2)
+    f.write("\n")
+strict = os.environ.get("SENTINEL_BENCH_STRICT") == "1"
+for msg in failures:
+    print(f"{'ERROR' if strict else 'WARNING'}: {msg}")
+if strict and failures:
+    sys.exit(1)
+PY
+
 echo "wrote ${OUT}"
 echo "wrote ${MONITOR_OUT}"
 echo "wrote ${NET_OUT}"
 echo "wrote ${COMMIT_OUT}"
 echo "wrote ${PROFILE_OUT}"
+echo "wrote ${RULES_OUT}"
 echo "metrics snapshots (if any) in ${METRICS_DIR}/"
