@@ -5,15 +5,40 @@
 //   - Notify dispatch of a declared event with no rule (the PR 2 hot path;
 //     compare against BM_NotifyEventDeclaredNoRule in bench_primitive_events),
 //   - rule firing through a subtransaction (subtxn + condition + action
-//     spans, the heaviest span cluster per event).
+//     spans, the heaviest span cluster per event). These rows also report
+//     `allocs_per_event`: heap allocations per notify + firing, counted by
+//     this binary's replacement operator new.
 // Off-mode numbers are pinned in tools/bench_baseline.json; the >10%
 // regression gate in tools/run_benches.sh --strict covers them.
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "bench_util.h"
 #include "net/protocol.h"
 #include "obs/span.h"
+
+namespace {
+// Every heap allocation in this binary (the unaligned operator new forms;
+// nothrow and array new route through these).
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+// GCC pairs the inlined operator new with free() and warns; the pairing is
+// this replacement's own malloc/free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace sentinel::bench {
 namespace {
@@ -68,11 +93,16 @@ void SubTxnWithMode(benchmark::State& state, TraceMode mode) {
       });
   auto txn = db.Begin();
   int v = 0;
+  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     FireMethod(&db, "C", "void f(int v)", ++v, *txn);
   }
+  const std::uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - allocs0;
   state.SetItemsProcessed(state.iterations());
   state.counters["rule_execs"] = static_cast<double>(executed.load());
+  state.counters["allocs_per_event"] =
+      static_cast<double>(allocs) / static_cast<double>(state.iterations());
   state.SetLabel(obs::TraceModeToString(mode));
 }
 

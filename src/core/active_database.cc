@@ -115,8 +115,10 @@ Status ActiveDatabase::OpenCommon(const Options& options) {
   scheduler_->SetExecutionObserver([this](const rules::Firing& firing,
                                           bool condition_held, Status) {
     if (!rule_events_ || firing.rule == nullptr) return;
-    for (const auto& constituent : firing.occurrence.constituents) {
-      if (constituent->class_name == kRuleClass) return;
+    if (firing.occurrence != nullptr) {
+      for (const auto& constituent : firing.occurrence->constituents) {
+        if (constituent->class_name == kRuleClass) return;
+      }
     }
     auto params = common::MakePooled<detector::ParamList>();
     params->Insert("rule", oodb::Value::String(firing.rule->name()));

@@ -356,7 +356,7 @@ void LocalEventDetector::Notify(const std::string& class_name, oodb::Oid oid,
                                 std::shared_ptr<const ParamList> params,
                                 TxnId txn) {
   if (SignalingSuppressed()) return;
-  notify_count_.fetch_add(1, std::memory_order_relaxed);
+  notify_count_.Add();
   const bool has_observers =
       observer_count_.load(std::memory_order_acquire) > 0;
   // Fast path 1: no primitive events declared and nobody observing raw
@@ -433,7 +433,7 @@ Status LocalEventDetector::RaiseExplicit(
   if (it == explicit_events_.end()) {
     return Status::NotFound("no explicit event named " + name);
   }
-  notify_count_.fetch_add(1, std::memory_order_relaxed);
+  notify_count_.Add();
   obs::Probe probe(ins_, {.span = obs::SpanKind::kNotify, .txn = txn},
                    [&] { return name; });
   if (probe.profiling()) {
@@ -459,7 +459,7 @@ Status LocalEventDetector::RaiseExplicit(
 
 void LocalEventDetector::Inject(const PrimitiveOccurrence& recorded) {
   std::shared_lock<std::shared_mutex> lock(graph_mu_);
-  notify_count_.fetch_add(1, std::memory_order_relaxed);
+  notify_count_.Add();
   clock_.Witness(recorded.at);
   std::uint64_t seen = now_ms_.load(std::memory_order_relaxed);
   while (recorded.at_ms > seen &&
@@ -775,7 +775,7 @@ void LocalEventDetector::WriteMetrics(obs::MetricSink& s) const {
 LocalEventDetector::Totals LocalEventDetector::TotalsSnapshot() const {
   std::shared_lock<std::shared_mutex> lock(graph_mu_);
   Totals totals;
-  totals.notifications = notify_count_.load(std::memory_order_relaxed);
+  totals.notifications = notify_count_.value();
   for (const auto& [name, node] : nodes_) {
     (void)name;
     const obs::NodeMetrics& m = node->metrics();

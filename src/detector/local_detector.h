@@ -178,9 +178,7 @@ class LocalEventDetector {
   void AddRawObserver(std::function<void(const PrimitiveOccurrence&)> observer);
 
   LogicalClock* clock() { return &clock_; }
-  std::uint64_t notify_count() const {
-    return notify_count_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t notify_count() const { return notify_count_.value(); }
 
   // -- Observability ------------------------------------------------------------
 
@@ -277,7 +275,9 @@ class LocalEventDetector {
 
   LogicalClock clock_;
   std::atomic<std::uint64_t> now_ms_{0};
-  std::atomic<std::uint64_t> notify_count_{0};
+  // Sharded: every Notify bumps it before any fast-path return, so one
+  // shared atomic would serialize concurrent notifiers on its cache line.
+  obs::ShardedCounter notify_count_;
   obs::Instruments ins_;  // guarded by graph_mu_ (written exclusive)
 };
 

@@ -17,8 +17,17 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
 void FlightRecorder::Record(const Span& span) {
   recorded_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
-  ring_[next_ % capacity_] = span;
-  ++next_;
+  SpanRecord& slot = ring_[next_++ % capacity_];
+  slot.is_firing = false;
+  slot.span = span;
+}
+
+void FlightRecorder::Record(const FiringRecord& firing) {
+  recorded_.fetch_add(firing.span_count(), std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  SpanRecord& slot = ring_[next_++ % capacity_];
+  slot.is_firing = true;
+  slot.firing = firing;
 }
 
 void FlightRecorder::RecordLog(LogLevel level, const std::string& message) {
@@ -49,7 +58,7 @@ std::vector<Span> FlightRecorder::Snapshot() const {
   std::uint64_t first = next_ - count;
   out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    out.push_back(ring_[(first + i) % capacity_]);
+    ring_[(first + i) % capacity_].AppendSpans(&out);
   }
   return out;
 }

@@ -14,11 +14,13 @@
 
 namespace sentinel::obs {
 
-/// Always-on bounded history of the last N spans plus the postmortem file
-/// sink. The span tracer copies every committed span here regardless of
-/// trace mode (unless tracing is fully off), so when a transaction is
+/// Always-on bounded history of the last N ring entries plus the postmortem
+/// file sink. The span tracer copies every committed span here regardless
+/// of trace mode (unless tracing is fully off), so when a transaction is
 /// doomed by the ABORT_TOP contingency or picked as a deadlock victim the
-/// postmortem can show what the system was doing just before.
+/// postmortem can show what the system was doing just before. An entry is
+/// one span, or one rule firing (FiringRecord) that reads back as its
+/// subtxn, condition and action spans.
 ///
 /// Postmortem destination: an explicit path wins; otherwise files named
 /// postmortem-<pid>-<n>.json go to $SENTINEL_POSTMORTEM_DIR; with neither,
@@ -33,8 +35,10 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   void Record(const Span& span);
+  void Record(const FiringRecord& firing);
 
-  /// Last spans, oldest first.
+  /// Spans of the last N entries, oldest entry first; a firing expands to
+  /// its subtxn span followed by its condition and action spans.
   std::vector<Span> Snapshot() const;
 
   /// One warn/error log line kept for postmortems (a parallel ring to the
@@ -51,6 +55,7 @@ class FlightRecorder {
   /// Last warn/error lines, oldest first.
   std::vector<LogEntry> SnapshotLogs() const;
 
+  /// Spans recorded (a firing counts each span it stands for).
   std::uint64_t recorded() const {
     return recorded_.load(std::memory_order_relaxed);
   }
@@ -66,8 +71,8 @@ class FlightRecorder {
  private:
   const std::size_t capacity_;
   mutable std::mutex mu_;
-  std::vector<Span> ring_;
-  std::uint64_t next_ = 0;  // total spans ever recorded (ring write position)
+  std::vector<SpanRecord> ring_;
+  std::uint64_t next_ = 0;  // total entries ever recorded (ring write position)
   std::vector<LogEntry> log_ring_;  // guarded by mu_, like the span ring
   std::uint64_t log_next_ = 0;
   std::atomic<std::uint64_t> recorded_{0};

@@ -126,6 +126,76 @@ class Probe {
   bool timed_ = false;
 };
 
+/// The timed phases of one rule firing, in the order they run.
+enum class FiringPhase : std::uint8_t {
+  kNone = 0,
+  kCondition,
+  kAction,
+  kCommit,
+  kAbort,
+};
+
+/// What a firing probe records into.
+struct FiringSeam {
+  storage::TxnId txn = storage::kInvalidTxnId;
+  std::uint64_t subtxn = 0;
+  std::uint64_t parent = 0;  // triggering span; 0 = scope stack / txn
+  common::SymbolId rule = common::kInvalidSymbol;  // renders span labels
+  RuleMetrics* metrics = nullptr;  // the phase histograms
+};
+
+/// One rule firing timed as one interval cut at its phase boundaries
+/// (RuleScheduler::Execute). The clock is read once when the probe opens
+/// and once per Mark: each Mark closes the current phase and its timestamp
+/// opens the next, so adjacent phases share their boundary. A completed
+/// phase hands its interval to the phase histogram (condition, action,
+/// commit, abort), the rule's profiler cell (condition, action, commit) and
+/// the condition/action child span. The subtxn span runs from the open to
+/// the last boundary; it and its children are committed as one
+/// FiringRecord when the probe ends.
+///
+/// A phase still open when the next is entered, or when the probe ends (an
+/// exception), closes as a failed attempt: its span closes, but histogram
+/// and profiler cell take only completed phases — the Probe contract.
+class FiringProbe {
+ public:
+  FiringProbe(const Instruments& in, const FiringSeam& seam);
+  ~FiringProbe() { End(); }
+
+  FiringProbe(const FiringProbe&) = delete;
+  FiringProbe& operator=(const FiringProbe&) = delete;
+
+  /// The profiler gate passed: resolve the rule's cost cells (set_cost).
+  bool profiling() const { return profiler_ != nullptr; }
+  void set_cost(Profiler::RuleCost* cost) { cost_ = cost; }
+
+  /// Names the phase the interval since the last boundary belongs to. No
+  /// clock read, unless a phase is still open (it closes as failed).
+  void Enter(FiringPhase phase);
+  /// Closes the current phase as completed with one clock read, which is
+  /// also the next phase's start. Returns the phase's wall nanoseconds.
+  std::uint64_t Mark();
+  /// Thread-CPU nanoseconds of the last closed phase (0 unless profiling).
+  std::uint64_t cpu_ns() const { return cpu_ns_; }
+  /// Ends the firing at its last boundary (an open phase first closes as
+  /// failed, at one clock read) and commits the firing's record. A second
+  /// call does nothing.
+  void End();
+
+ private:
+  std::uint64_t Close(bool completed, std::uint64_t t);
+
+  FiringScope span_;
+  Profiler* profiler_ = nullptr;  // set only when the profiler gate passed
+  Profiler::RuleCost* cost_ = nullptr;
+  RuleMetrics* const metrics_;
+  FiringPhase phase_ = FiringPhase::kNone;
+  std::uint64_t last_ = 0;      // the last boundary: the open phase's start
+  std::uint64_t cpu_last_ = 0;  // thread CPU at that boundary (profiling)
+  std::uint64_t cpu_ns_ = 0;
+  bool ended_ = false;
+};
+
 }  // namespace sentinel::obs
 
 #endif  // SENTINEL_OBS_PROBE_H_

@@ -62,7 +62,59 @@ struct RingCacheEntry {
 };
 thread_local std::vector<RingCacheEntry> g_ring_cache;
 
+// Per-thread memo of the last transaction anchor this thread resolved (see
+// SpanTracer::TxnAnchor): valid while the tracer's txn epoch is unchanged.
+struct AnchorMemo {
+  std::uint64_t uid = 0;
+  storage::TxnId txn = storage::kInvalidTxnId;
+  std::uint64_t epoch = 0;
+  std::uint64_t id = 0;
+};
+thread_local AnchorMemo g_anchor_memo;
+
+// Snapshot order: by start time; on a tie the parent (smaller id) first, so
+// a firing's subtxn span precedes the condition span that shares its start.
+bool SpanBefore(const Span& a, const Span& b) {
+  return a.start_ns != b.start_ns ? a.start_ns < b.start_ns : a.id < b.id;
+}
+
 }  // namespace
+
+void FiringRecord::AppendSpans(std::vector<Span>* out) const {
+  static const std::string kNoName;
+  const std::string& name = rule != common::kInvalidSymbol
+                                ? common::SymbolTable::Global().NameOf(rule)
+                                : kNoName;
+  Span span;
+  span.id = id;
+  span.parent = parent;
+  span.kind = SpanKind::kSubTxn;
+  span.txn = txn;
+  span.subtxn = subtxn;
+  span.start_ns = start_ns;
+  span.end_ns = end_ns;
+  span.tid = tid;
+  span.label = name;
+  out->push_back(span);
+  const struct {
+    const Child& child;
+    SpanKind kind;
+    const char* suffix;
+  } children[] = {{condition, SpanKind::kCondition, ".condition"},
+                  {action, SpanKind::kAction, ".action"}};
+  std::uint64_t child_id = id;
+  for (const auto& c : children) {
+    ++child_id;
+    if (c.child.end_ns == 0) continue;
+    span.id = child_id;
+    span.parent = id;
+    span.kind = c.kind;
+    span.start_ns = c.child.start_ns;
+    span.end_ns = c.child.end_ns;
+    span.label = name + c.suffix;
+    out->push_back(span);
+  }
+}
 
 const char* SpanKindToString(SpanKind kind) {
   switch (kind) {
@@ -136,12 +188,22 @@ std::uint64_t SpanTracer::CurrentSpanIdFor(const SpanTracer* tracer) {
 std::uint64_t SpanTracer::ResolveParent(storage::TxnId txn) const {
   std::uint64_t parent = CurrentSpanIdFor(this);
   if (parent != 0) return parent;
-  if (txn != storage::kInvalidTxnId) {
-    std::lock_guard<std::mutex> lock(txn_mu_);
-    auto it = open_txns_.find(txn);
-    if (it != open_txns_.end()) return it->second.id;
+  return TxnAnchor(txn);
+}
+
+std::uint64_t SpanTracer::TxnAnchor(storage::TxnId txn) const {
+  if (txn == storage::kInvalidTxnId) return 0;
+  AnchorMemo& memo = g_anchor_memo;
+  if (memo.uid == uid_ && memo.txn == txn &&
+      memo.epoch == txn_epoch_.load(std::memory_order_acquire)) {
+    return memo.id;
   }
-  return 0;
+  std::lock_guard<std::mutex> lock(txn_mu_);
+  auto it = open_txns_.find(txn);
+  if (it == open_txns_.end()) return 0;
+  memo = {uid_, txn, txn_epoch_.load(std::memory_order_relaxed),
+          it->second.id};
+  return memo.id;
 }
 
 SpanTracer::ThreadRing* SpanTracer::RingForThisThread() {
@@ -172,6 +234,12 @@ SpanTracer::ThreadRing* SpanTracer::RingForThisThread() {
   return ring;
 }
 
+SpanRecord& SpanTracer::NextSlot(ThreadRing* ring) {
+  std::uint64_t pos = ring->seq.fetch_add(1, std::memory_order_relaxed);
+  if (pos >= ring_capacity_) dropped_.fetch_add(1, std::memory_order_relaxed);
+  return ring->slots[pos % ring_capacity_];
+}
+
 void SpanTracer::Commit(Span&& span) {
   recorded_.fetch_add(1, std::memory_order_relaxed);
   if (FlightRecorder* fr = flight_.load(std::memory_order_acquire)) {
@@ -180,9 +248,22 @@ void SpanTracer::Commit(Span&& span) {
   if (mode_.load(std::memory_order_relaxed) != TraceMode::kFull) return;
   ThreadRing* ring = RingForThisThread();
   std::lock_guard<std::mutex> lock(ring->mu);
-  std::uint64_t pos = ring->seq.fetch_add(1, std::memory_order_relaxed);
-  if (pos >= ring_capacity_) dropped_.fetch_add(1, std::memory_order_relaxed);
-  ring->slots[pos % ring_capacity_] = std::move(span);
+  SpanRecord& slot = NextSlot(ring);
+  slot.is_firing = false;
+  slot.span = std::move(span);
+}
+
+void SpanTracer::Commit(const FiringRecord& firing) {
+  recorded_.fetch_add(firing.span_count(), std::memory_order_relaxed);
+  if (FlightRecorder* fr = flight_.load(std::memory_order_acquire)) {
+    fr->Record(firing);
+  }
+  if (mode_.load(std::memory_order_relaxed) != TraceMode::kFull) return;
+  ThreadRing* ring = RingForThisThread();
+  std::lock_guard<std::mutex> lock(ring->mu);
+  SpanRecord& slot = NextSlot(ring);
+  slot.is_firing = true;
+  slot.firing = firing;
 }
 
 std::uint64_t SpanTracer::RecordTimedSpan(SpanKind kind, std::uint64_t start_ns,
@@ -218,6 +299,7 @@ void SpanTracer::BeginTxnSpan(storage::TxnId txn) {
   span.label = "txn " + std::to_string(txn);
   std::lock_guard<std::mutex> lock(txn_mu_);
   open_txns_[txn] = std::move(span);
+  txn_epoch_.fetch_add(1, std::memory_order_release);
 }
 
 void SpanTracer::EndTxnSpan(storage::TxnId txn) {
@@ -228,6 +310,7 @@ void SpanTracer::EndTxnSpan(storage::TxnId txn) {
     if (it == open_txns_.end()) return;
     span = std::move(it->second);
     open_txns_.erase(it);
+    txn_epoch_.fetch_add(1, std::memory_order_release);
   }
   span.end_ns = NowNs();
   Commit(std::move(span));
@@ -241,8 +324,7 @@ std::vector<Span> SpanTracer::OpenTxnSpans() const {
     (void)txn;
     out.push_back(span);
   }
-  std::sort(out.begin(), out.end(),
-            [](const Span& a, const Span& b) { return a.start_ns < b.start_ns; });
+  std::sort(out.begin(), out.end(), SpanBefore);
   return out;
 }
 
@@ -256,12 +338,11 @@ std::vector<Span> SpanTracer::Snapshot() const {
       std::uint64_t count = std::min<std::uint64_t>(seq, ring_capacity_);
       std::uint64_t first = seq - count;
       for (std::uint64_t i = 0; i < count; ++i) {
-        out.push_back(ring->slots[(first + i) % ring_capacity_]);
+        ring->slots[(first + i) % ring_capacity_].AppendSpans(&out);
       }
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const Span& a, const Span& b) { return a.start_ns < b.start_ns; });
+  std::sort(out.begin(), out.end(), SpanBefore);
   return out;
 }
 
@@ -323,8 +404,7 @@ std::string SpanTracer::ChromeTraceJson(const ExportMeta& meta) const {
   std::vector<Span> spans = Snapshot();
   std::vector<Span> open = OpenTxnSpans();
   spans.insert(spans.end(), open.begin(), open.end());
-  std::sort(spans.begin(), spans.end(),
-            [](const Span& a, const Span& b) { return a.start_ns < b.start_ns; });
+  std::sort(spans.begin(), spans.end(), SpanBefore);
 
   std::uint64_t base_ns = spans.empty() ? 0 : spans.front().start_ns;
   std::uint64_t now_ns = NowNs();
@@ -409,15 +489,55 @@ void SpanScope::End(std::uint64_t end_ns) {
   pushed_ = false;
 }
 
+void FiringScope::Start(SpanTracer* tracer, storage::TxnId txn,
+                        std::uint64_t subtxn, common::SymbolId rule,
+                        std::uint64_t parent_override,
+                        std::uint64_t start_ns) {
+  if (tracer == nullptr || tracer_ != nullptr) return;
+  tracer_ = tracer;
+  record_.id = tracer->NextSpanId(FiringRecord::kIds);
+  record_.parent =
+      parent_override != 0 ? parent_override : tracer->ResolveParent(txn);
+  record_.txn = txn;
+  record_.subtxn = subtxn;
+  record_.start_ns = start_ns;
+  record_.rule = rule;
+  record_.tid = ThisThreadId();
+  pushed_ = PushScope(tracer->uid_, record_.id);
+}
+
+void FiringScope::OpenChild(SpanKind kind, std::uint64_t start_ns) {
+  if (tracer_ == nullptr) return;
+  CloseChild(start_ns);
+  const bool condition = kind == SpanKind::kCondition;
+  child_ = condition ? &record_.condition : &record_.action;
+  child_id_ = record_.id + (condition ? 1 : 2);
+  child_->start_ns = start_ns;
+  child_pushed_ = PushScope(tracer_->uid_, child_id_);
+}
+
+void FiringScope::CloseChild(std::uint64_t end_ns) {
+  if (child_ == nullptr) return;
+  if (child_pushed_) PopScope(tracer_->uid_, child_id_);
+  child_->end_ns = end_ns;
+  child_ = nullptr;
+  child_pushed_ = false;
+}
+
+void FiringScope::End(std::uint64_t end_ns) {
+  if (tracer_ == nullptr) return;
+  CloseChild(end_ns);
+  if (pushed_) PopScope(tracer_->uid_, record_.id);
+  record_.end_ns = end_ns;
+  tracer_->Commit(record_);
+  tracer_ = nullptr;
+  pushed_ = false;
+}
+
 void TxnAnchorScope::Start(SpanTracer* tracer, storage::TxnId txn) {
   if (tracer == nullptr || pushed_ || txn == storage::kInvalidTxnId) return;
-  std::uint64_t anchor = 0;
-  {
-    std::lock_guard<std::mutex> lock(tracer->txn_mu_);
-    auto it = tracer->open_txns_.find(txn);
-    if (it == tracer->open_txns_.end()) return;
-    anchor = it->second.id;
-  }
+  const std::uint64_t anchor = tracer->TxnAnchor(txn);
+  if (anchor == 0) return;
   tracer_ = tracer;
   anchor_ = anchor;
   pushed_ = PushScope(tracer->uid_, anchor);

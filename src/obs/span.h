@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/symbol.h"
 #include "storage/log_record.h"
 
 namespace sentinel::obs {
@@ -79,6 +80,55 @@ struct Span {
   std::uint64_t remote_parent = 0;
 };
 
+/// One rule firing as the tracer records it: the subtxn span and its
+/// condition and action children, kept as one ring entry (one id
+/// reservation, one lock) and expanded back into those spans on read. It
+/// stores no label strings: the labels are rendered on read from the
+/// interned rule name, which outlives the rule.
+struct FiringRecord {
+  /// Ids reserved per firing: the subtxn span, its condition, its action.
+  static constexpr std::uint64_t kIds = 3;
+
+  /// A child span's interval; `end_ns == 0` means the phase did not run.
+  struct Child {
+    std::uint64_t start_ns = 0;
+    std::uint64_t end_ns = 0;
+  };
+
+  std::uint64_t id = 0;  // the subtxn span; condition is id + 1, action id + 2
+  std::uint64_t parent = 0;
+  storage::TxnId txn = storage::kInvalidTxnId;
+  std::uint64_t subtxn = 0;
+  std::uint64_t start_ns = 0;
+  std::uint64_t end_ns = 0;
+  Child condition;
+  Child action;
+  common::SymbolId rule = common::kInvalidSymbol;
+  std::uint32_t tid = 0;
+
+  /// Spans the record stands for: the subtxn plus each child that ran.
+  std::uint64_t span_count() const {
+    return 1 + (condition.end_ns != 0 ? 1 : 0) + (action.end_ns != 0 ? 1 : 0);
+  }
+  /// Appends those spans: the subtxn span, then condition and action.
+  void AppendSpans(std::vector<Span>* out) const;
+};
+
+/// One ring slot: a span, or a rule firing that reads back as several.
+struct SpanRecord {
+  bool is_firing = false;
+  Span span;
+  FiringRecord firing;
+
+  void AppendSpans(std::vector<Span>* out) const {
+    if (is_firing) {
+      firing.AppendSpans(out);
+    } else {
+      out->push_back(span);
+    }
+  }
+};
+
 /// Causal span tracer. Same budget discipline as the provenance tracer
 /// (PR 3): a single relaxed load decides "off", and every instrumentation
 /// site builds its label only after that gate passes. Closed spans go to
@@ -134,7 +184,8 @@ class SpanTracer {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// All closed spans currently held by the rings, sorted by start time.
+  /// All closed spans currently held by the rings (rule firings expanded),
+  /// sorted by start time, parents before children on ties.
   std::vector<Span> Snapshot() const;
   void Clear();
 
@@ -179,23 +230,31 @@ class SpanTracer {
 
  private:
   friend class SpanScope;
+  friend class FiringScope;
   friend class TxnAnchorScope;
 
   struct ThreadRing {
     std::mutex mu;
     std::atomic<std::uint64_t> seq{0};  // relaxed monotonic write position
     std::uint32_t tid = 0;
-    std::vector<Span> slots;
+    std::vector<SpanRecord> slots;
   };
 
-  std::uint64_t NextSpanId() {
-    return next_id_.fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t NextSpanId(std::uint64_t count = 1) {
+    return next_id_.fetch_add(count, std::memory_order_relaxed);
   }
   /// Scope-stack parent, else the open txn span for `txn`, else 0.
   std::uint64_t ResolveParent(storage::TxnId txn) const;
+  /// Id of the open txn span for `txn` (0 when none). A thread that resolved
+  /// it before reuses its answer while no txn span has opened or closed
+  /// since, so the firings of one transaction take `txn_mu_` about once.
+  std::uint64_t TxnAnchor(storage::TxnId txn) const;
   /// Routes a finished span: flight recorder always, thread ring when the
   /// mode is kFull.
   void Commit(Span&& span);
+  void Commit(const FiringRecord& firing);
+  /// The slot the next kFull span of this thread goes to (ring->mu held).
+  SpanRecord& NextSlot(ThreadRing* ring);
   ThreadRing* RingForThisThread();
 
   const std::size_t ring_capacity_;
@@ -211,6 +270,9 @@ class SpanTracer {
 
   mutable std::mutex txn_mu_;
   std::unordered_map<storage::TxnId, Span> open_txns_;
+  // Bumped (under txn_mu_) whenever a txn span opens or closes; validates
+  // the per-thread TxnAnchor memo.
+  std::atomic<std::uint64_t> txn_epoch_{0};
 };
 
 /// RAII span. Default-constructed scopes are inert; call Start() only after
@@ -252,6 +314,47 @@ class SpanScope {
   SpanTracer* tracer_ = nullptr;
   bool pushed_ = false;
   Span span_;
+};
+
+/// RAII scope of one rule firing, committed as one FiringRecord. Start
+/// reserves the ids of the subtxn span and its condition and action
+/// children and resolves the parent; while the firing runs, the open span
+/// (the subtxn, or the child phase inside it) is on this thread's scope
+/// stack, so spans recorded inside it parent correctly. Timestamps come from
+/// the caller (an obs::FiringProbe's phase boundaries). Call Start only after
+/// the tracer's enabled_for(kSubTxn) gate passed.
+class FiringScope {
+ public:
+  FiringScope() = default;
+  ~FiringScope() {
+    if (tracer_ != nullptr) End(SpanTracer::NowNs());
+  }
+
+  FiringScope(const FiringScope&) = delete;
+  FiringScope& operator=(const FiringScope&) = delete;
+
+  /// `parent_override` is the triggering detection's span; 0 resolves it
+  /// from the scope stack / txn anchors.
+  void Start(SpanTracer* tracer, storage::TxnId txn, std::uint64_t subtxn,
+             common::SymbolId rule, std::uint64_t parent_override,
+             std::uint64_t start_ns);
+  /// Opens the condition or action child at `start_ns`.
+  void OpenChild(SpanKind kind, std::uint64_t start_ns);
+  /// Closes the open child (no-op when none is open).
+  void CloseChild(std::uint64_t end_ns);
+  /// Closes the subtxn span and commits the firing.
+  void End(std::uint64_t end_ns);
+
+  bool active() const { return tracer_ != nullptr; }
+  std::uint64_t id() const { return record_.id; }
+
+ private:
+  SpanTracer* tracer_ = nullptr;
+  FiringRecord::Child* child_ = nullptr;  // the open child, if any
+  std::uint64_t child_id_ = 0;
+  bool pushed_ = false;
+  bool child_pushed_ = false;
+  FiringRecord record_;
 };
 
 /// Pushes an already-open transaction span onto the thread-local scope stack

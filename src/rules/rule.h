@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/clock.h"
+#include "common/symbol.h"
 #include "detector/event_types.h"
 #include "obs/metrics.h"
 #include "oodb/database.h"
@@ -75,6 +76,9 @@ class Rule : public detector::EventSink {
        ActionFn action);
 
   const std::string& name() const { return name_; }
+  /// The name interned in the global symbol table: it outlives the rule, so
+  /// recorded spans render their labels from it after a delete.
+  common::SymbolId name_symbol() const { return name_symbol_; }
   /// The event the rule is subscribed to after any coupling-mode rewrite
   /// (for a DEFERRED rule this is the generated A* event).
   const std::string& event_name() const { return event_name_; }
@@ -129,6 +133,7 @@ class Rule : public detector::EventSink {
 
  private:
   std::string name_;
+  common::SymbolId name_symbol_;
   std::string event_name_;
   std::string declared_event_;
   ConditionFn condition_;

@@ -1,6 +1,7 @@
 #include "rules/rule_manager.h"
 
 #include "common/logging.h"
+#include "common/pool.h"
 #include "obs/metric_sink.h"
 #include "obs/span.h"
 #include "obs/trace.h"
@@ -34,6 +35,7 @@ const char* CouplingModeToString(CouplingMode mode) {
 Rule::Rule(std::string name, std::string event_name, ConditionFn condition,
            ActionFn action)
     : name_(std::move(name)),
+      name_symbol_(common::SymbolTable::Global().Intern(name_)),
       event_name_(event_name),
       declared_event_(std::move(event_name)),
       condition_(std::move(condition)),
@@ -367,11 +369,37 @@ Result<Rule*> RuleManager::DefineRuleWithPriorityClass(
                     options);
 }
 
+namespace {
+
+bool SameOccurrence(const detector::Occurrence& a,
+                    const detector::Occurrence& b) {
+  return a.t_start == b.t_start && a.t_end == b.t_end && a.at_ms == b.at_ms &&
+         a.txn == b.txn && a.constituents == b.constituents &&
+         a.event_name == b.event_name;
+}
+
+/// The firings of one detection share one copy of its occurrence. The
+/// detector hands the same occurrence to each subscribed rule in turn, so
+/// this thread's last copy is reused while a firing still holds it and it
+/// equals the occurrence being triggered (same constituents, by pointer).
+std::shared_ptr<const detector::Occurrence> SharedOccurrence(
+    const detector::Occurrence& occurrence) {
+  thread_local std::weak_ptr<const detector::Occurrence> last;
+  std::shared_ptr<const detector::Occurrence> shared = last.lock();
+  if (shared == nullptr || !SameOccurrence(*shared, occurrence)) {
+    shared = common::MakePooled<detector::Occurrence>(occurrence);
+    last = shared;
+  }
+  return shared;
+}
+
+}  // namespace
+
 void RuleManager::Trigger(Rule* rule, const detector::Occurrence& occurrence,
                           detector::ParamContext context) {
   Firing firing;
   firing.rule = rule;
-  firing.occurrence = occurrence;
+  firing.occurrence = SharedOccurrence(occurrence);
   firing.context = context;
   firing.txn = occurrence.txn;
 

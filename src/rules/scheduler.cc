@@ -17,6 +17,12 @@ namespace {
 thread_local RuleScheduler::Frame* t_frame = nullptr;
 thread_local RuleScheduler::BatchScope* t_batch_scope = nullptr;
 
+// Batch storage for each Drain nesting level of this thread, kept across
+// calls so popping a batch allocates nothing once warm. A deque, so a level
+// a nested Drain adds never moves the storage of the levels around it.
+thread_local std::deque<std::vector<Firing>> t_popped;
+thread_local std::size_t t_drain_depth = 0;
+
 /// Lexicographic priority order: larger element wins; a path extending a
 /// prefix wins over the prefix (depth-first).
 bool PathLess(const std::vector<int>& a, const std::vector<int>& b) {
@@ -48,21 +54,22 @@ std::uint64_t ExpectedCostNs(const Rule* rule) {
 
 }  // namespace
 
-/// One popped batch. The caller and any pool helpers claim firings through
-/// `next`. In a pooled batch `unfinished` counts firings not yet done
-/// (claimed or not), so the caller, once nothing is left to claim, waits
-/// only for firings a helper is still running. Pooled batches are shared
-/// with their helpers, and a helper that starts after the batch is done
-/// finds nothing to claim.
+/// One popped batch, over the calling Drain's batch storage. The caller
+/// and any pool helpers claim firings through `next`. In a pooled batch
+/// `unfinished` counts firings not yet done (claimed or not), so the
+/// caller, once nothing is left to claim, waits only for firings a helper
+/// is still running. Pooled batches are shared with their helpers, and a
+/// helper that starts after the batch is done finds nothing to claim, so it
+/// never reads `firings`.
 struct RuleScheduler::Batch {
-  Batch(const RuleScheduler* owner, std::vector<Firing> popped,
+  Batch(const RuleScheduler* owner, const std::vector<Firing>& popped,
         bool one_class, bool pooled)
       : owner(owner),
-        firings(std::move(popped)),
-        size(firings.size()),
+        firings(popped),
+        size(popped.size()),
         one_class(one_class),
         pooled(pooled),
-        unfinished(firings.size()) {}
+        unfinished(popped.size()) {}
 
   // The floor a Drain nested in one of this batch's firings keeps lower
   // classes behind: the batch's class while siblings are unclaimed. Only a
@@ -88,7 +95,7 @@ struct RuleScheduler::Batch {
   }
 
   const RuleScheduler* const owner;
-  std::vector<Firing> firings;
+  const std::vector<Firing>& firings;
   const std::size_t size;  // firings.size(), readable after firings clear
   const bool one_class;
   const bool pooled;
@@ -166,15 +173,21 @@ void RuleScheduler::EnqueueDetached(Firing firing) {
   // A detached firing outlives the Notify call that raised it, but its
   // constituent occurrences may reference caller-owned parameter lists that
   // are only guaranteed to live for the duration of that call. Pin them by
-  // deep-copying every constituent (and its ParamList) onto fresh
-  // heap-owned storage before the firing crosses onto the detached queue.
-  for (auto& constituent : firing.occurrence.constituents) {
-    if (constituent == nullptr) continue;
-    auto copy = std::make_shared<detector::PrimitiveOccurrence>(*constituent);
-    if (copy->params != nullptr) {
-      copy->params = std::make_shared<detector::ParamList>(*copy->params);
+  // deep-copying the occurrence (shared with the detection's other firings)
+  // and every constituent (and its ParamList) onto fresh heap-owned storage
+  // before the firing crosses onto the detached queue.
+  if (firing.occurrence != nullptr) {
+    auto pinned = std::make_shared<detector::Occurrence>(*firing.occurrence);
+    for (auto& constituent : pinned->constituents) {
+      if (constituent == nullptr) continue;
+      auto copy =
+          std::make_shared<detector::PrimitiveOccurrence>(*constituent);
+      if (copy->params != nullptr) {
+        copy->params = std::make_shared<detector::ParamList>(*copy->params);
+      }
+      constituent = std::move(copy);
     }
-    constituent = std::move(copy);
+    firing.occurrence = std::move(pinned);
   }
   {
     std::lock_guard<std::mutex> lock(detached_mu_);
@@ -185,11 +198,12 @@ void RuleScheduler::EnqueueDetached(Firing firing) {
   detached_cv_.notify_one();
 }
 
-std::vector<Firing> RuleScheduler::PopBatch(SchedulingPolicy policy,
-                                            const std::vector<int>* floor) {
+void RuleScheduler::PopBatch(SchedulingPolicy policy,
+                             const std::vector<int>* floor,
+                             std::vector<Firing>* batch) {
+  batch->clear();
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Firing> batch;
-  if (pending_.empty()) return batch;
+  if (pending_.empty()) return;
 
   // Index of the highest-priority pending firing (the first enqueued of its
   // class: only a strictly higher path replaces it).
@@ -200,16 +214,16 @@ std::vector<Firing> RuleScheduler::PopBatch(SchedulingPolicy policy,
     }
   }
   if (floor != nullptr && PathLess(pending_[best].priority_path, *floor)) {
-    return batch;
+    return;
   }
   switch (policy) {
     case SchedulingPolicy::kSerial: {
-      batch.push_back(std::move(pending_[best]));
+      batch->push_back(std::move(pending_[best]));
       pending_.erase(pending_.begin() + static_cast<long>(best));
       break;
     }
     case SchedulingPolicy::kConcurrent: {
-      for (Firing& f : pending_) batch.push_back(std::move(f));
+      for (Firing& f : pending_) batch->push_back(std::move(f));
       pending_.clear();
       break;
     }
@@ -217,11 +231,11 @@ std::vector<Firing> RuleScheduler::PopBatch(SchedulingPolicy policy,
       // Everything sharing the top priority path forms the batch, in
       // enqueue order. Nothing before `best` is in the top class, so the
       // rest is compacted in place from there.
-      batch.push_back(std::move(pending_[best]));
+      batch->push_back(std::move(pending_[best]));
       std::size_t keep = best;
       for (std::size_t i = best + 1; i < pending_.size(); ++i) {
-        if (pending_[i].priority_path == batch.front().priority_path) {
-          batch.push_back(std::move(pending_[i]));
+        if (pending_[i].priority_path == batch->front().priority_path) {
+          batch->push_back(std::move(pending_[i]));
         } else {
           if (keep != i) pending_[keep] = std::move(pending_[i]);
           ++keep;
@@ -233,7 +247,6 @@ std::vector<Firing> RuleScheduler::PopBatch(SchedulingPolicy policy,
     }
   }
   pending_count_.store(pending_.size(), std::memory_order_release);
-  return batch;
 }
 
 bool RuleScheduler::ShouldPool(const std::vector<Firing>& batch) const {
@@ -274,9 +287,16 @@ void RuleScheduler::RunBatch(Batch& batch) {
 }
 
 void RuleScheduler::Drain() {
+  // Drain is called after every notification; when no rule fired there is
+  // nothing queued — return without touching the queue lock.
+  if (pending_count_.load(std::memory_order_acquire) == 0) return;
+  if (t_popped.size() <= t_drain_depth) t_popped.emplace_back();
+  std::vector<Firing>& popped = t_popped[t_drain_depth];
+  struct Level {
+    Level() { ++t_drain_depth; }
+    ~Level() { --t_drain_depth; }
+  } level;
   for (;;) {
-    // Drain is called after every notification; when no rule fired there is
-    // nothing queued — return without touching the queue lock.
     if (pending_count_.load(std::memory_order_acquire) == 0) return;
     // Nested in a firing (its action raised an event) whose class still has
     // unclaimed siblings: run only what ranks at or above that class — the
@@ -286,17 +306,18 @@ void RuleScheduler::Drain() {
                                                        : nullptr;
     const SchedulingPolicy policy = this->policy();
     const bool one_class = policy == SchedulingPolicy::kPriorityClasses;
-    std::vector<Firing> popped = PopBatch(policy, floor);
+    PopBatch(policy, floor, &popped);
     if (popped.empty()) return;
     if (!ShouldPool(popped)) {
       inline_batches_.fetch_add(1, std::memory_order_relaxed);
-      Batch batch(this, std::move(popped), one_class, /*pooled=*/false);
+      Batch batch(this, popped, one_class, /*pooled=*/false);
       RunBatch(batch);
+      popped.clear();
       continue;
     }
     pooled_batches_.fetch_add(1, std::memory_order_relaxed);
-    auto batch = std::make_shared<Batch>(this, std::move(popped), one_class,
-                                         /*pooled=*/true);
+    auto batch =
+        std::make_shared<Batch>(this, popped, one_class, /*pooled=*/true);
     const std::size_t helpers = std::min(parallelism_, batch->size) - 1;
     for (std::size_t i = 0; i < helpers; ++i) {
       pool_->Submit([this, batch] { RunBatch(*batch); });
@@ -311,7 +332,7 @@ void RuleScheduler::Drain() {
     }
     // Every firing is done; a helper still to start reads only the claim
     // cursor, so the firings die here, within the Drain that ran them.
-    batch->firings.clear();
+    popped.clear();
   }
 }
 
@@ -322,8 +343,10 @@ bool RuleScheduler::Execute(const Firing& firing) {
   obs::ProvenanceTracer* tracer = ins_.provenance;
   const bool tracing = tracer != nullptr && tracer->enabled();
 
+  static const detector::Occurrence kNoOccurrence;
   RuleContext ctx;
-  ctx.occurrence = &firing.occurrence;
+  ctx.occurrence = firing.occurrence != nullptr ? firing.occurrence.get()
+                                                : &kNoOccurrence;
   ctx.context = firing.context;
   ctx.txn = firing.txn;
   ctx.db = db_;
@@ -353,34 +376,31 @@ bool RuleScheduler::Execute(const Firing& firing) {
   }
   ctx.subtxn = sub;
 
-  // Subtxn span: parented under the triggering detection's span (captured
-  // into the firing when it was enqueued — the execution usually happens on
-  // a different thread, so the per-thread scope stack cannot supply it).
-  // The probe stays open across commit/abort below so the span covers the
-  // whole firing lifecycle; condition/action child spans nest inside it via
-  // this thread's scope stack.
-  obs::Probe firing_probe(ins_,
-                          {.span = obs::SpanKind::kSubTxn,
-                           .txn = firing.txn,
-                           .subtxn = sub,
-                           .parent = firing.trigger_span},
-                          [rule] { return rule->name(); });
-  // The per-rule profiler cells the seam probes below record into.
+  // One probe times the whole firing, cut at its phase boundaries into
+  // condition, action and commit (or abort). Its subtxn span is parented
+  // under the triggering detection's span, captured into the firing when it
+  // was enqueued: the execution usually happens on a different thread, so
+  // the per-thread scope stack cannot supply it.
+  obs::FiringProbe probe(ins_, {.txn = firing.txn,
+                                .subtxn = sub,
+                                .parent = firing.trigger_span,
+                                .rule = rule->name_symbol(),
+                                .metrics = &rule->metrics()});
+  // The per-rule profiler cells the phases record into.
   obs::Profiler::RuleCost* cost = nullptr;
-  if (firing_probe.profiling()) cost = ins_.profiler->GetRuleCost(rule->name());
-  auto seam_cost = [cost](obs::Profiler::RuleSeam seam) {
-    return cost != nullptr ? &cost->seams[static_cast<int>(seam)] : nullptr;
-  };
+  if (probe.profiling()) {
+    cost = ins_.profiler->GetRuleCost(rule->name());
+    probe.set_cost(cost);
+  }
   std::uint64_t own_cpu = 0;   // condition + action, for symbol attribution
   std::uint64_t own_wall = 0;
 
   // Publish this firing as the current frame so nested triggers (raised from
   // the action) inherit txn/priority/depth.
-  Frame frame;
-  frame.txn = firing.txn;
-  frame.subtxn = sub;
-  frame.priority_path = firing.priority_path;
-  frame.depth = firing.depth;
+  Frame frame{.txn = firing.txn,
+              .subtxn = sub,
+              .priority_path = firing.priority_path,
+              .depth = firing.depth};
   Frame* prev_frame = t_frame;
   t_frame = &frame;
 
@@ -406,27 +426,15 @@ bool RuleScheduler::Execute(const Firing& firing) {
         // Conditions are side-effect free: suppress event signalling while
         // the condition function runs (§3.2.1).
         detector::LocalEventDetector::SuppressScope guard;
-        obs::Probe probe(
-            ins_, {.span = obs::SpanKind::kCondition,
-                   .txn = firing.txn,
-                   .subtxn = sub,
-                   .histogram = &rule->metrics().condition_ns,
-                   .cost = seam_cost(obs::Profiler::RuleSeam::kCondition)},
-            [rule] { return rule->name() + ".condition"; });
+        probe.Enter(obs::FiringPhase::kCondition);
         condition_held = rule->condition()(ctx);
-        own_wall += probe.End();
+        own_wall += probe.Mark();
         own_cpu += probe.cpu_ns();
       }
       if (condition_held && rule->action()) {
-        obs::Probe probe(
-            ins_, {.span = obs::SpanKind::kAction,
-                   .txn = firing.txn,
-                   .subtxn = sub,
-                   .histogram = &rule->metrics().action_ns,
-                   .cost = seam_cost(obs::Profiler::RuleSeam::kAction)},
-            [rule] { return rule->name() + ".action"; });
+        probe.Enter(obs::FiringPhase::kAction);
         rule->action()(ctx);
-        own_wall += probe.End();
+        own_wall += probe.Mark();
         own_cpu += probe.cpu_ns();
       }
     } catch (const std::exception& e) {
@@ -442,15 +450,13 @@ bool RuleScheduler::Execute(const Firing& firing) {
   t_frame = prev_frame;
 
   if (sub != txn::kInvalidSubTxn) {
-    // The time this subtransaction spent blocked acquiring nested locks is
-    // accumulated by the lock table; harvest it before the subtxn finishes.
-    rule->metrics().lock_wait_ns.Record(nested_->LockWaitNs(sub));
+    // The time this subtransaction spent blocked acquiring nested locks,
+    // handed back by the lock table as the subtxn finishes.
+    std::uint64_t lock_wait_ns = 0;
     if (failure.ok()) {
-      obs::Probe probe(
-          ins_, {.histogram = &rule->metrics().commit_ns,
-                 .cost = seam_cost(obs::Profiler::RuleSeam::kCommit)});
-      Status commit = nested_->Commit(sub);
-      probe.End();
+      probe.Enter(obs::FiringPhase::kCommit);
+      Status commit = nested_->Commit(sub, &lock_wait_ns);
+      probe.Mark();
       if (tracing) {
         tracer->Record(obs::EdgeKind::kSubTxn, rule->name(),
                        commit.ok() ? "commit" : "commit-failed", firing.txn,
@@ -462,9 +468,9 @@ bool RuleScheduler::Execute(const Firing& firing) {
         sub_status = commit;
       }
     } else {
-      obs::Probe probe(ins_, {.histogram = &rule->metrics().abort_ns});
-      Status aborted = nested_->Abort(sub);
-      probe.End();
+      probe.Enter(obs::FiringPhase::kAbort);
+      Status aborted = nested_->Abort(sub, &lock_wait_ns);
+      probe.Mark();
       if (tracing) {
         tracer->Record(obs::EdgeKind::kSubTxn, rule->name(), "abort",
                        firing.txn, firing.context, sub);
@@ -474,10 +480,14 @@ bool RuleScheduler::Execute(const Firing& firing) {
                             << rule->name() << ": " << aborted.ToString();
       }
     }
+    rule->metrics().lock_wait_ns.Record(lock_wait_ns);
   }
+  // The firing ends with its subtransaction: its record is committed before
+  // the bookkeeping below, so a postmortem AbortTop takes shows it.
+  probe.End();
 
   if (cost != nullptr) {
-    ins_.profiler->AttributeRuleCost(cost, firing.occurrence, own_cpu,
+    ins_.profiler->AttributeRuleCost(cost, *ctx.occurrence, own_cpu,
                                      own_wall);
   }
 

@@ -51,7 +51,9 @@ const char* ContingencyPolicyToString(ContingencyPolicy policy);
 /// A triggered rule waiting to execute.
 struct Firing {
   Rule* rule = nullptr;
-  detector::Occurrence occurrence;
+  /// The triggering occurrence, shared by the firings of one detection
+  /// (null only in firings built by hand).
+  std::shared_ptr<const detector::Occurrence> occurrence;
   detector::ParamContext context = detector::ParamContext::kRecent;
   storage::TxnId txn = storage::kInvalidTxnId;
   txn::SubTxnId parent_subtxn = txn::kInvalidSubTxn;
@@ -135,7 +137,7 @@ class RuleScheduler {
   struct Frame {
     storage::TxnId txn = storage::kInvalidTxnId;
     txn::SubTxnId subtxn = txn::kInvalidSubTxn;
-    std::vector<int> priority_path;
+    const std::vector<int>& priority_path;  // the executing firing's
     int depth = 0;
   };
   static const Frame* CurrentFrame();
@@ -187,9 +189,10 @@ class RuleScheduler {
   }
 
   /// Attaches the database's instruments (call before firings run). Each
-  /// firing probes its subtxn span (with condition/action children), the
-  /// condition/action/commit/abort histograms and the per-rule profiler
-  /// cells, and records firing->subtransaction provenance edges.
+  /// firing is one obs::FiringProbe: its subtxn span (with condition/action
+  /// children), the condition/action/commit/abort histograms and the
+  /// per-rule profiler cells; it also records firing->subtransaction
+  /// provenance edges.
   void set_instruments(const obs::Instruments& instruments) {
     ins_ = instruments;
   }
@@ -214,10 +217,11 @@ class RuleScheduler {
  private:
   struct Batch;
 
-  // Pops the next batch to run according to `policy`. Empty == idle, or
-  // the top pending firing ranks below `floor`.
-  std::vector<Firing> PopBatch(SchedulingPolicy policy,
-                               const std::vector<int>* floor);
+  // Pops the next batch to run according to `policy` into `batch` (cleared
+  // first, its storage reused). Empty == idle, or the top pending firing
+  // ranks below `floor`.
+  void PopBatch(SchedulingPolicy policy, const std::vector<int>* floor,
+                std::vector<Firing>* batch);
   // The cost model: true when helpers on the pool finish `batch` sooner
   // than the caller alone, hand-off included.
   bool ShouldPool(const std::vector<Firing>& batch) const;

@@ -26,8 +26,23 @@ Result<SubTxnId> NestedTransactionManager::Begin(TopTxnId top,
     ++it->second.live_children;
   }
   SubTxnId id = next_id_++;
-  subs_[id] = sub;
+  if (spare_.empty()) {
+    subs_.emplace(id, std::move(sub));
+  } else {
+    spare_.key() = id;
+    spare_.mapped() = std::move(sub);
+    subs_.insert(std::move(spare_));
+  }
   return id;
+}
+
+void NestedTransactionManager::EraseLocked(
+    std::unordered_map<SubTxnId, SubTxn>::iterator it) {
+  if (spare_.empty()) {
+    spare_ = subs_.extract(it);
+  } else {
+    subs_.erase(it);
+  }
 }
 
 bool NestedTransactionManager::IsAncestorLocked(SubTxnId ancestor,
@@ -198,9 +213,13 @@ void NestedTransactionManager::ReleaseLocksLocked(SubTxn& sub_state,
   sub_state.held_keys.clear();
 }
 
-Status NestedTransactionManager::Commit(SubTxnId sub) {
+Status NestedTransactionManager::Commit(SubTxnId sub,
+                                        std::uint64_t* lock_wait_ns) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = subs_.find(sub);
+  if (lock_wait_ns != nullptr) {
+    *lock_wait_ns = it != subs_.end() ? it->second.lock_wait_ns : 0;
+  }
   if (it == subs_.end() || !it->second.active) {
     return Status::InvalidArgument("commit of inactive subtransaction " +
                                    std::to_string(sub));
@@ -217,13 +236,17 @@ Status NestedTransactionManager::Commit(SubTxnId sub) {
     auto parent_it = subs_.find(parent);
     if (parent_it != subs_.end()) --parent_it->second.live_children;
   }
-  subs_.erase(it);
+  EraseLocked(it);
   return Status::OK();
 }
 
-Status NestedTransactionManager::Abort(SubTxnId sub) {
+Status NestedTransactionManager::Abort(SubTxnId sub,
+                                       std::uint64_t* lock_wait_ns) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = subs_.find(sub);
+  if (lock_wait_ns != nullptr) {
+    *lock_wait_ns = it != subs_.end() ? it->second.lock_wait_ns : 0;
+  }
   if (it == subs_.end() || !it->second.active) {
     return Status::InvalidArgument("abort of inactive subtransaction " +
                                    std::to_string(sub));
@@ -237,7 +260,7 @@ Status NestedTransactionManager::Abort(SubTxnId sub) {
     auto parent_it = subs_.find(parent);
     if (parent_it != subs_.end()) --parent_it->second.live_children;
   }
-  subs_.erase(it);
+  EraseLocked(it);
   return Status::OK();
 }
 

@@ -58,10 +58,13 @@ class NestedTransactionManager {
   Result<SubTxnId> Begin(TopTxnId top, SubTxnId parent = kInvalidSubTxn);
 
   /// Commits: locks are inherited by the parent (or by the top-level root).
-  Status Commit(SubTxnId sub);
+  /// `lock_wait_ns`, when given, receives the nanoseconds `sub` spent
+  /// blocked in Acquire (0 for an unknown subtransaction).
+  Status Commit(SubTxnId sub, std::uint64_t* lock_wait_ns = nullptr);
 
   /// Aborts: locks released, subtree below must already be finished.
-  Status Abort(SubTxnId sub);
+  /// `lock_wait_ns` as for Commit.
+  Status Abort(SubTxnId sub, std::uint64_t* lock_wait_ns = nullptr);
 
   /// Acquires a nested lock. Blocks; LockTimeout after Options::lock_timeout.
   Status Acquire(SubTxnId sub, const storage::LockKey& key,
@@ -82,8 +85,8 @@ class NestedTransactionManager {
   /// The three gauges above as metric rows.
   void WriteMetrics(obs::MetricSink& s) const;
 
-  /// Nanoseconds `sub` has spent blocked in Acquire so far (latency
-  /// accounting for the rule metrics; harvested before commit/abort).
+  /// Nanoseconds `sub` has spent blocked in Acquire so far (Commit and
+  /// Abort hand back the final figure).
   std::uint64_t LockWaitNs(SubTxnId sub) const;
 
   /// Attaches the database's instruments; blocking nested acquisitions are
@@ -143,10 +146,16 @@ class NestedTransactionManager {
   void InheritLocksLocked(SubTxn& sub_state, SubTxnId sub);
   // Drops `sub`'s hold on each of its held keys. Requires mu_.
   void ReleaseLocksLocked(SubTxn& sub_state, SubTxnId sub);
+  // Erases a finished subtransaction, keeping its map node for the next
+  // Begin. Requires mu_.
+  void EraseLocked(std::unordered_map<SubTxnId, SubTxn>::iterator it);
 
   Options options_;
   mutable std::mutex mu_;
   std::unordered_map<SubTxnId, SubTxn> subs_;
+  // One finished subtransaction's node, reused by Begin so a firing's
+  // subtransaction allocates nothing once warm.
+  std::unordered_map<SubTxnId, SubTxn>::node_type spare_;
   std::unordered_map<std::string, std::unique_ptr<LockState>> locks_;
   // top txn -> keys its committed depth-1 subtransactions retained; lets
   // EndTop release retained locks without scanning the whole table.

@@ -17,6 +17,12 @@
 # rules (strict mode fails above); the 16-rule x 5 us-action ratios are
 # recorded.
 #
+# BENCH_span.json holds the within-run cost of the always-on flight
+# recorder on the rule-firing path: the ratio of the medians of
+# BM_SpanSubTxnFlightOnly and BM_SpanSubTxnTracerOff over 5 interleaved
+# repetitions (strict mode fails above 1.15), and the BM_NotifyWithImmediateRule
+# median against its 700 ns target (reported, not gated).
+#
 # Also runs bench_monitor_overhead and writes BENCH_monitor.json next to
 # out_json: the Notify hot path measured bare, under the health watchdog,
 # and under watchdog + a concurrently scraping /metrics endpoint. Overheads
@@ -73,6 +79,12 @@ run bench_profile_overhead 'BM_Profile.*' "${tmpdir}/profile.json"
 run bench_rule_exec 'BM_RulesPerEvent.*' "${tmpdir}/rules.json" \
   --benchmark_repetitions=5 \
   --benchmark_enable_random_interleaving=true
+run bench_span_overhead 'BM_SpanSubTxn(TracerOff|FlightOnly)$' \
+  "${tmpdir}/span_flight.json" \
+  --benchmark_repetitions=5 \
+  --benchmark_enable_random_interleaving=true
+run bench_primitive_events 'BM_NotifyWithImmediateRule$' \
+  "${tmpdir}/immediate_rule.json" --benchmark_repetitions=5
 
 BASELINE="$(dirname "$0")/bench_baseline.json"
 
@@ -543,10 +555,73 @@ if strict and failures:
     sys.exit(1)
 PY
 
+# Flight-recorder cost on the rule-firing path: one immediate rule with a
+# condition per event, with spans off vs in the default flight mode. The
+# gate is the within-run ratio of medians over interleaved repetitions (the
+# BENCH_rules.json shape); the immediate-rule Notify median is reported
+# against ROADMAP item 3's 700 ns target.
+SPAN_OUT="$(dirname "${OUT}")/BENCH_span.json"
+python3 - "${tmpdir}/span_flight.json" "${tmpdir}/immediate_rule.json" \
+    "${SPAN_OUT}" <<'PY'
+import json
+import os
+import sys
+
+times = {}
+context = {}
+for path in sys.argv[1:3]:
+    with open(path) as f:
+        doc = json.load(f)
+    context = context or doc.get("context", {})
+    for bench in doc.get("benchmarks", []):
+        if bench.get("aggregate_name") == "median":
+            times[bench["run_name"]] = bench.get("real_time")
+
+off = times.get("BM_SpanSubTxnTracerOff")
+flight = times.get("BM_SpanSubTxnFlightOnly")
+immediate = times.get("BM_NotifyWithImmediateRule")
+out = {
+    "description": (
+        "Always-on flight recorder cost on the rule-firing path: medians "
+        "of 5 interleaved repetitions of one immediate rule (condition + "
+        "action) per event with spans off and in flight mode; "
+        "flight_vs_off_ratio divides the two. notify_immediate_rule_ns is "
+        "the BM_NotifyWithImmediateRule median (target 700 ns, not gated)."
+    ),
+    "context": context,
+    "benchmarks": times,
+    "flight_vs_off_ratio": flight / off if off and flight else None,
+    "notify_immediate_rule_ns": immediate,
+    "notify_immediate_rule_target_ns": 700,
+}
+failures = []
+if out["flight_vs_off_ratio"] is None:
+    failures.append("no flight/off ratio for BM_SpanSubTxn")
+else:
+    ratio = out["flight_vs_off_ratio"]
+    print(f"  BM_SpanSubTxnFlightOnly / TracerOff medians: {ratio:.3f}")
+    if ratio > 1.15:
+        failures.append(f"flight mode costs {ratio:.2f}x spans-off on the "
+                        "rule-firing path (> 1.15x)")
+if immediate:
+    print(f"  BM_NotifyWithImmediateRule median {immediate:10.1f} ns "
+          "(target 700 ns, info)")
+
+with open(sys.argv[3], "w") as f:
+    json.dump(out, f, indent=2)
+    f.write("\n")
+strict = os.environ.get("SENTINEL_BENCH_STRICT") == "1"
+for msg in failures:
+    print(f"{'ERROR' if strict else 'WARNING'}: {msg}")
+if strict and failures:
+    sys.exit(1)
+PY
+
 echo "wrote ${OUT}"
 echo "wrote ${MONITOR_OUT}"
 echo "wrote ${NET_OUT}"
 echo "wrote ${COMMIT_OUT}"
 echo "wrote ${PROFILE_OUT}"
 echo "wrote ${RULES_OUT}"
+echo "wrote ${SPAN_OUT}"
 echo "metrics snapshots (if any) in ${METRICS_DIR}/"
